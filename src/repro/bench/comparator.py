@@ -41,7 +41,7 @@ _ORDER = {"pass": 0, "warn": 1, "fail": 2}
 _WALL_METRICS = frozenset({
     "wall_s", "wall_time_s", "events_per_sec",
     "serial_s", "parallel_s", "warm_s", "single_s",
-    "speedup_parallel", "speedup_cache", "speedup_calendar",
+    "speedup_parallel", "speedup_cache",
 })
 
 #: Relative drift a wall-clock metric may show before warning.

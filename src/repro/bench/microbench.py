@@ -22,10 +22,6 @@ huge-pending-set timer flood.  Event counts, peak heap sizes, and the
 ``pool_hits`` / ``compactions`` fast-path counters are deterministic
 (and gated exactly by the comparator); the wall-clock columns measure
 the host and are gated warn-only.
-
-:func:`queue_backend_suite` (the ``queues`` panel of the same bench
-experiment) runs the queue-bound workloads once per event-queue
-backend (``repro.sim.queues``) and reports the calendar/heap speedup.
 """
 
 from __future__ import annotations
@@ -64,8 +60,6 @@ __all__ = [
     "kernel_schedule_burst",
     "kernel_timer_flood",
     "kernel_suite",
-    "queue_backend_suite",
-    "FLOOD_FULL_N",
 ]
 
 PORT = 5000
@@ -326,11 +320,10 @@ def bandwidth_series(sizes, protocols=("via", "socketvia", "tcp")) -> List[Micro
 class KernelPoint:
     """One kernel-workload measurement.
 
-    ``pool_hits`` (events served from the timeout/event free lists),
+    ``pool_hits`` (events served from the timeout/event free lists) and
     ``compactions`` (tombstone sweeps triggered by cancellation churn)
-    and ``promotions`` (calendar-queue bucket promotions; 0 on the heap
-    backend) are deterministic kernel counters — they gate the fast
-    paths exactly, like ``events`` and ``heap_peak``.
+    are deterministic kernel counters — they gate the fast paths
+    exactly, like ``events`` and ``heap_peak``.
     """
 
     workload: str
@@ -340,7 +333,6 @@ class KernelPoint:
     wall_s: float
     pool_hits: int = 0
     compactions: int = 0
-    promotions: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -352,8 +344,7 @@ def _point(workload: str, sim: Simulator, expected: int,
     """Package one finished workload run with its kernel counters."""
     return KernelPoint(
         workload, sim.events_processed, expected, sim.heap_peak, wall,
-        pool_hits=sim.pool_hits, compactions=sim.compactions,
-        promotions=getattr(sim._heap, "promotions", 0))
+        pool_hits=sim.pool_hits, compactions=sim.compactions)
 
 
 def kernel_timeout_chain(n: int = 200_000) -> KernelPoint:
@@ -460,12 +451,11 @@ def kernel_timer_wheel(
 
 def kernel_timer_cancel(
     live: int = 2_048, cancels: int = 20_000, horizon: float = 1_000.0,
-    queue: Optional[str] = None,
 ) -> KernelPoint:
     """A fixed population of deadline timers, repeatedly cancelled and
     replaced while references are held.  Exactly the *live* survivors
     fire; every cancelled timer must be dropped without a heap rebuild."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     timers = [sim.timeout(horizon + i) for i in range(live)]
     t0 = _time.perf_counter()
     for k in range(cancels):
@@ -503,27 +493,13 @@ def kernel_schedule_burst(bursts: int = 200, size: int = 1_000) -> KernelPoint:
     return _point("schedule_burst", sim, total, wall)
 
 
-#: Full-axis pending population for the timer flood.  Below a few
-#: hundred thousand pending timers, C-accelerated heap sifts beat the
-#: calendar queue's interpreter-level bucket plumbing; at a million the
-#: O(1)-vs-O(log n) asymptotics dominate — every heap sift walks a
-#: ~20-level path scattered across a million-entry array while the
-#: calendar's near heap stays cache-resident — and the calendar backend
-#: is reliably faster, so the suite's speedup claim gates only here.
-FLOOD_FULL_N = 1_000_000
-
-
-def kernel_timer_flood(
-    n: int = FLOOD_FULL_N,
-    span: int = 512,
-    queue: Optional[str] = None,
-) -> KernelPoint:
+def kernel_timer_flood(n: int = 100_000, span: int = 512) -> KernelPoint:
     """*n* pre-armed timers spread across *span* simulated seconds,
     scheduled up front and drained to empty — the huge-pending-set
-    regime.  Every heap push/pop pays O(log n) on the full population;
-    the calendar backend pays amortized O(1) per event.  Every timer
-    fires (no cancellation), so expected == n exactly."""
-    sim = Simulator(queue=queue)
+    regime, where every heap push/pop pays O(log n) on the full
+    population.  Every timer fires (no cancellation), so expected == n
+    exactly."""
+    sim = Simulator()
     timeout = sim.timeout
     t0 = _time.perf_counter()
     for i in range(n):
@@ -587,52 +563,4 @@ def kernel_suite(quick: bool = False) -> ExperimentTable:
         "events/expected_events/heap_peak/pool_hits/compactions are "
         "deterministic; wall_s and events_per_sec measure the host and "
         "vary run to run.")
-    return table
-
-
-def queue_backend_suite(quick: bool = False) -> ExperimentTable:
-    """Event-queue backends head to head on queue-bound workloads.
-
-    Runs :func:`kernel_timer_flood` (huge pending set — the calendar
-    queue's sweet spot) and :func:`kernel_timer_cancel` (cancellation
-    churn and compaction sweeps) once per backend.  ``events`` /
-    ``expected_events`` / ``heap_peak`` / ``promotions`` are
-    deterministic and must agree with the closed forms on *every*
-    backend — that is the suite's correctness claim.  The wall columns
-    and the derived ``speedup_calendar`` (calendar events/s over heap
-    events/s, same workload) measure the host and are gated warn-only;
-    the >= 1.3x flood speedup claim applies only at the full-axis
-    population (quick floods are too small for calendar asymptotics to
-    beat C-heap constants — that regime is exactly why the ``auto``
-    backend exists).
-    """
-    flood_n = 20_000 if quick else FLOOD_FULL_N
-    flood_span = 64 if quick else 512
-    cancel_kwargs = ({"live": 256, "cancels": 2_000} if quick else {})
-    workloads = [
-        ("timer_flood",
-         lambda q: kernel_timer_flood(flood_n, span=flood_span, queue=q)),
-        ("timer_cancel",
-         lambda q: kernel_timer_cancel(queue=q, **cancel_kwargs)),
-    ]
-    table = ExperimentTable(
-        "queues",
-        "Event-queue backends head to head (binary heap vs calendar)",
-        ["workload", "backend", "events", "expected_events", "heap_peak",
-         "promotions", "wall_s", "events_per_sec", "speedup_calendar"],
-    )
-    for name, run in workloads:
-        points = {b: run(b) for b in ("heap", "calendar")}
-        base = points["heap"].events_per_sec
-        for backend in ("heap", "calendar"):
-            p = points[backend]
-            speedup = (round(p.events_per_sec / base, 2)
-                       if backend == "calendar" and base > 0 else None)
-            table.add_row(name, backend, p.events, p.expected,
-                          p.heap_peak, p.promotions, round(p.wall_s, 4),
-                          round(p.events_per_sec, 1), speedup)
-    table.add_note(
-        f"timer_flood population n={flood_n}; speedup_calendar = "
-        "calendar events/s over heap events/s (host-dependent, gated "
-        "warn-only).")
     return table

@@ -151,7 +151,6 @@ def _figures() -> Dict[str, Callable]:
     # (no point plan) — the kernel suite times the host, the sweep
     # suite times the executor.
     registry["kernel"] = lambda quick: m.kernel_suite(quick)
-    registry["queues"] = lambda quick: m.queue_backend_suite(quick)
     registry["sweep"] = lambda quick: x.sweep_benchmark(quick)
 
     def fluid(quick):
@@ -231,7 +230,7 @@ RUNTIME_HINT = {
     "2": "instant", "4a": "~1 s", "4b": "~1 s", "7a": "~30 s",
     "7b": "~30 s", "8a": "~20 s", "8b": "~20 s", "9a": "~30 s",
     "9b": "~30 s", "10": "~1 s", "11": "~4 s", "c8": "~30 s",
-    "c11": "~10 s", "kernel": "~5 s", "queues": "~30 s",
+    "c11": "~10 s", "kernel": "~5 s",
     "sweep": "~2 min", "fluid": "~5 s", "serve": "~1 min",
     "serve_scale": "~30 s", "serve_par": "~2 min",
     "wcq": "~30 s", "wcb": "~15 s", "tls": "~10 s", "tlc": "~1 s",
@@ -645,122 +644,63 @@ def _chaos_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
 # ---------------------------------------------------------------------------
 
 
-def _queues_rows(table: ExperimentTable) -> List[Dict]:
-    return [dict(zip(table.columns, row)) for row in table.rows]
-
-
 def _kernel_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
-    anchors: List[Anchor] = []
     table = tables.get("kernel")
-    if table is not None:
-        idx = table.column("workload").index("TOTAL")
-        total_events = table.column("events")[idx]
-        heap_peak = max(table.column("heap_peak"))
-        eps = table.column("events_per_sec")[idx]
-        pool_hits = table.column("pool_hits")[idx]
-        compactions = table.column("compactions")[idx]
-        anchors += [
-            Anchor("kernel_total_events",
-                   "useful events processed across all workloads "
-                   "(deterministic)",
-                   float(total_events), group="kernel", unit="events"),
-            Anchor("kernel_heap_peak",
-                   "largest event heap any workload reached (deterministic)",
-                   float(heap_peak), group="kernel", unit="entries"),
-            Anchor("kernel_pool_hits",
-                   "events served from the timeout/event free lists "
-                   "(deterministic)",
-                   float(pool_hits), group="kernel", unit="events"),
-            Anchor("kernel_compactions",
-                   "tombstone compaction sweeps across all workloads "
-                   "(deterministic)",
-                   float(compactions), group="kernel", unit="sweeps"),
-            Anchor("events_per_sec",
-                   "aggregate kernel throughput (host-dependent, gated "
-                   "warn-only)",
-                   float(eps), group="kernel", unit="events/s"),
-        ]
-    queues = tables.get("queues")
-    if queues is not None:
-        rows = _queues_rows(queues)
-        flood_cal = next((r for r in rows
-                          if r["workload"] == "timer_flood"
-                          and r["backend"] == "calendar"), None)
-        if flood_cal is not None:
-            # Dotted key: the comparator gates the trailing
-            # "speedup_calendar" component warn-only (host timing).
-            anchors += [
-                Anchor("timer_flood.speedup_calendar",
-                       "calendar-over-heap throughput ratio on the timer "
-                       "flood (host-dependent, gated warn-only)",
-                       None if flood_cal["speedup_calendar"] is None
-                       else float(flood_cal["speedup_calendar"]),
-                       group="queues", unit="x"),
-                Anchor("queues_flood_promotions",
-                       "calendar bucket promotions while draining the "
-                       "flood (deterministic)",
-                       float(flood_cal["promotions"]),
-                       group="queues", unit="promotions"),
-            ]
-    return anchors
+    if table is None:
+        return []
+    idx = table.column("workload").index("TOTAL")
+    total_events = table.column("events")[idx]
+    heap_peak = max(table.column("heap_peak"))
+    eps = table.column("events_per_sec")[idx]
+    pool_hits = table.column("pool_hits")[idx]
+    compactions = table.column("compactions")[idx]
+    return [
+        Anchor("kernel_total_events",
+               "useful events processed across all workloads "
+               "(deterministic)",
+               float(total_events), group="kernel", unit="events"),
+        Anchor("kernel_heap_peak",
+               "largest event heap any workload reached (deterministic)",
+               float(heap_peak), group="kernel", unit="entries"),
+        Anchor("kernel_pool_hits",
+               "events served from the timeout/event free lists "
+               "(deterministic)",
+               float(pool_hits), group="kernel", unit="events"),
+        Anchor("kernel_compactions",
+               "tombstone compaction sweeps across all workloads "
+               "(deterministic)",
+               float(compactions), group="kernel", unit="sweeps"),
+        Anchor("events_per_sec",
+               "aggregate kernel throughput (host-dependent, gated "
+               "warn-only)",
+               float(eps), group="kernel", unit="events/s"),
+    ]
 
 
 def _kernel_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
-    claims: List[Claim] = []
     table = tables.get("kernel")
-    if table is not None:
-        names = table.column("workload")
-        events = dict(zip(names, table.column("events")))
-        expected = dict(zip(names, table.column("expected_events")))
-        exact = all(events[w] == expected[w] for w in names)
-        claims += [
-            Claim("event_counts_exact",
-                  "every workload processed exactly its closed-form event "
-                  "count (cancelled timers contributed zero fired events)",
-                  exact, "kernel"),
-            Claim("wheel_cancellation_lazy",
-                  "timer-wheel fires only the surviving timer per connection "
-                  "despite ~10x as many scheduled-then-cancelled",
-                  events.get("timer_wheel") == expected.get("timer_wheel"),
-                  "kernel"),
-            Claim("cancelled_deadlines_never_fire",
-                  "deadline-cancel workload processed only its live "
-                  "survivors",
-                  events.get("timer_cancel") == expected.get("timer_cancel"),
-                  "kernel"),
-        ]
-    queues = tables.get("queues")
-    if queues is not None:
-        from repro.bench.microbench import FLOOD_FULL_N
-
-        rows = _queues_rows(queues)
-        by_workload: Dict[str, Dict[str, Dict]] = {}
-        for r in rows:
-            by_workload.setdefault(r["workload"], {})[r["backend"]] = r
-        identical = all(
-            len({b["events"] for b in backends.values()}) == 1
-            and all(b["events"] == b["expected_events"]
-                    for b in backends.values())
-            for backends in by_workload.values())
-        flood = by_workload.get("timer_flood", {}).get("calendar")
-        flood_n = flood["events"] if flood else 0
-        speedup = flood["speedup_calendar"] if flood else None
-        claims += [
-            Claim("queue_backends_event_identical",
-                  "every backend processes exactly the closed-form event "
-                  "count on every queue workload (dequeue order proven "
-                  "heapq-exact by tests/test_sim_queues.py)",
-                  identical, "queues"),
-            Claim("calendar_flood_speedup_when_population_allows",
-                  "calendar backend >= 1.3x heap events/s on the timer "
-                  "flood (vacuous below the full-axis population of "
-                  f"{FLOOD_FULL_N} pending timers, where C-heap "
-                  "constants dominate and auto-selection keeps the heap)",
-                  flood_n < FLOOD_FULL_N
-                  or (speedup is not None and speedup >= 1.3),
-                  "queues"),
-        ]
-    return claims
+    if table is None:
+        return []
+    names = table.column("workload")
+    events = dict(zip(names, table.column("events")))
+    expected = dict(zip(names, table.column("expected_events")))
+    exact = all(events[w] == expected[w] for w in names)
+    return [
+        Claim("event_counts_exact",
+              "every workload processed exactly its closed-form event "
+              "count (cancelled timers contributed zero fired events)",
+              exact, "kernel"),
+        Claim("wheel_cancellation_lazy",
+              "timer-wheel fires only the surviving timer per connection "
+              "despite ~10x as many scheduled-then-cancelled",
+              events.get("timer_wheel") == expected.get("timer_wheel"),
+              "kernel"),
+        Claim("cancelled_deadlines_never_fire",
+              "deadline-cancel workload processed only its live "
+              "survivors",
+              events.get("timer_cancel") == expected.get("timer_cancel"),
+              "kernel"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1387,7 +1327,7 @@ SUITES: Dict[str, BenchSuite] = {
                    "plans (fault injection + resilience)", ("c8", "c11"),
                    _chaos_anchors, _chaos_claims),
         BenchSuite("kernel", "Simulation-kernel throughput micro-benchmarks",
-                   ("kernel", "queues"), _kernel_anchors, _kernel_claims),
+                   ("kernel",), _kernel_anchors, _kernel_claims),
         BenchSuite("sweep", "Point-sweep executor: serial vs parallel vs "
                    "cached wall clock", ("sweep",),
                    _sweep_anchors, _sweep_claims),

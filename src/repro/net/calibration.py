@@ -30,7 +30,6 @@ import dataclasses
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.sim.units import mbps_to_bytes_per_sec, nsec, usec
 from repro.net.model import ProtocolCostModel
@@ -200,6 +199,10 @@ def fit_cost_model(
     Residuals are relative (divided by the observation) so microsecond
     latencies and megabyte bandwidths carry equal weight.
     """
+    # Imported here, not at module level: scipy is slow and large to
+    # import, and nothing on the simulation path fits models.
+    from scipy.optimize import least_squares
+
     free = list(free_params)
     x0 = np.array([getattr(base, p) for p in free], dtype=float)
     scale = np.where(x0 > 0, x0, 1e-6)

@@ -3,11 +3,12 @@
 Public surface::
 
     from repro.sim import Simulator, Resource, Store, Container
-    from repro.sim import RandomStreams, Tally, TimeWeighted
+    from repro.sim import RandomStreams, Tally, SeriesRecorder, Summary
     from repro.sim.units import usec, MB
 
 See the module docstrings for semantics; :mod:`repro.sim.core` documents
-the event-loop contract.
+the event-loop contract (one ``heapq`` list of pending events, one run
+loop behind ``run``/``run_all``/``step``).
 """
 
 from repro.sim.core import Simulator
@@ -22,11 +23,11 @@ from repro.sim.flow import (
     simulation_mode,
     solve_pipeline,
 )
-from repro.sim.monitor import Counter, Histogram, SeriesRecorder, Tally, TimeWeighted
+from repro.sim.monitor import SeriesRecorder, Tally
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import BatchMeans, Summary, mser5, trim_warmup
+from repro.sim.stats import Summary
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 from repro.sim import units
 
@@ -53,15 +54,9 @@ __all__ = [
     "Store",
     "Container",
     "RandomStreams",
-    "Counter",
     "Tally",
-    "TimeWeighted",
-    "Histogram",
     "SeriesRecorder",
-    "BatchMeans",
     "Summary",
-    "trim_warmup",
-    "mser5",
     "Tracer",
     "TraceRecord",
     "NULL_TRACER",

@@ -29,13 +29,9 @@ The run loop is deliberately allocation-light (see docs/ARCHITECTURE.md,
   are re-armed by the next :meth:`timeout` call instead of reallocated.
 * **Batched scheduling** — :meth:`schedule_many` pushes a pre-computed
   burst of (event, delay) pairs with one Python call.
-* **Pluggable event queue** — the pending set lives in a backend from
-  :mod:`repro.sim.queues` (binary heap by default, calendar/ladder queue
-  for large far-future populations, or ``auto`` migration between them),
-  selected per instance or via ``REPRO_SIM_QUEUE``.  The default heap is
-  a ``list`` subclass so the inlined run loop keeps its C-speed
-  ``heappop``/indexing; other backends run through a generic loop with
-  identical semantics.
+* **One heap, one loop** — the pending set is a plain ``list`` kept in
+  heap order by C :mod:`heapq`, and :meth:`run`, :meth:`run_all` and
+  :meth:`step` all drive the single inlined :meth:`_run_loop`.
 """
 
 from __future__ import annotations
@@ -56,21 +52,13 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.queues import (
-    AUTO_CALENDAR_AT,
-    AUTO_HEAP_AT,
-    CalendarQueue,
-    HeapQueue,
-    make_queue,
-    resolve_queue_backend,
-)
 
 __all__ = ["Simulator", "global_events_processed"]
 
 _INF = float("inf")
 
 #: Process-wide count of events processed by every Simulator, flushed at
-#: the end of each run()/run_all()/step().  The bench runner snapshots it
+#: the end of each run loop.  The bench runner snapshots it
 #: around a figure driver to report kernel events per BenchRecord.
 _GLOBAL_EVENTS = [0]
 
@@ -87,13 +75,6 @@ class Simulator:
     ----------
     start_time:
         Initial value of the clock (seconds).  Defaults to 0.
-    queue:
-        Event-queue backend: ``"heap"`` (default), ``"calendar"``, or
-        ``"auto"`` (heap that migrates to a calendar queue when the
-        pending population grows past
-        :data:`~repro.sim.queues.AUTO_CALENDAR_AT`).  ``None`` defers to
-        the ``REPRO_SIM_QUEUE`` environment variable.  Every backend
-        dequeues in identical ``(time, priority, seq)`` order.
 
     Examples
     --------
@@ -126,12 +107,10 @@ class Simulator:
     #: compaction is the backstop bounding the heap at ~4x the live set.
     _COMPACT_MIN = 1024
 
-    def __init__(self, start_time: float = 0.0, queue: Optional[str] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        #: Resolved backend name (stable even after auto migration).
-        self.queue_backend = resolve_queue_backend(queue)
-        self._auto = self.queue_backend == "auto"
-        self._heap = make_queue(self.queue_backend)
+        #: Pending ``(time, priority, seq, event)`` entries in heap order.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         #: The process currently being resumed, if any (for diagnostics).
         self._active_process: Optional[Process] = None
@@ -170,22 +149,12 @@ class Simulator:
         stays invisible to callers.
         """
         heap = self._heap
-        if heap.__class__ is HeapQueue:
-            while heap and heap[0][3]._gen != heap[0][2]:
-                event = heappop(heap)[3]
-                if event._gen == -1:
-                    event._detached = True
-                self._tombstones -= 1
-            return heap[0][0] if heap else _INF
-        while heap:
-            entry = heap.first()
-            if entry[3]._gen == entry[2]:
-                return entry[0]
-            event = heap.pop()[3]
+        while heap and heap[0][3]._gen != heap[0][2]:
+            event = heappop(heap)[3]
             if event._gen == -1:
                 event._detached = True
             self._tombstones -= 1
-        return _INF
+        return heap[0][0] if heap else _INF
 
     # -- scheduling ------------------------------------------------------------
 
@@ -198,15 +167,9 @@ class Simulator:
                 "cannot schedule at NaN delay (would corrupt heap ordering)"
             )
         seq = self._seq
-        heap = self._heap
-        if heap.__class__ is HeapQueue:
-            heappush(heap, (self._now + delay, priority, seq, event))
-        else:
-            heap.push((self._now + delay, priority, seq, event))
+        heappush(self._heap, (self._now + delay, priority, seq, event))
         event._gen = seq
         self._seq = seq + 1
-        if self._auto:
-            self._auto_migrate()
 
     def schedule_many(
         self,
@@ -225,8 +188,7 @@ class Simulator:
         heap = self._heap
         now = self._now
         seq = self._seq
-        fast = heap.__class__ is HeapQueue
-        push = heappush if fast else heap.push
+        push = heappush
         n = 0
         try:
             for event, delay in pairs:
@@ -238,17 +200,12 @@ class Simulator:
                     raise EventLifecycleError(
                         "cannot schedule at NaN delay (would corrupt heap ordering)"
                     )
-                if fast:
-                    push(heap, (now + delay, priority, seq, event))
-                else:
-                    push((now + delay, priority, seq, event))
+                push(heap, (now + delay, priority, seq, event))
                 event._gen = seq
                 seq += 1
                 n += 1
         finally:
             self._seq = seq
-        if self._auto:
-            self._auto_migrate()
         return n
 
     # -- lazy cancellation ------------------------------------------------------
@@ -276,50 +233,18 @@ class Simulator:
         the timeout may be re-armed immediately.
         """
         heap = self._heap
-        if heap.__class__ is HeapQueue:
-            live = []
-            append = live.append
-            for entry in heap:
-                event = entry[3]
-                if event._gen == entry[2]:
-                    append(entry)
-                elif event._gen == -1:
-                    event._detached = True
-            heapify(live)
-            heap[:] = live
-        else:
-            heap.compact(self._entry_live)
+        live = []
+        append = live.append
+        for entry in heap:
+            event = entry[3]
+            if event._gen == entry[2]:
+                append(entry)
+            elif event._gen == -1:
+                event._detached = True
+        heapify(live)
+        heap[:] = live
         self._tombstones = 0
         self.compactions += 1
-
-    def _entry_live(self, entry: Tuple[float, int, int, Event]) -> bool:
-        """Compaction predicate for non-heap backends: live iff the
-        event's generation stamp matches; flags detached graveyard
-        candidates as a side effect (see :meth:`_compact`)."""
-        event = entry[3]
-        if event._gen == entry[2]:
-            return True
-        if event._gen == -1:
-            event._detached = True
-        return False
-
-    def _auto_migrate(self) -> None:
-        """``auto`` backend: hop between heap and calendar storage as the
-        pending population crosses the hysteresis thresholds.  All
-        entries (tombstones included — ``_tombstones`` stays valid)
-        carry over, and both backends realize the same dequeue order, so
-        migration is invisible to the simulation.
-        """
-        heap = self._heap
-        if heap.__class__ is HeapQueue:
-            if len(heap) >= AUTO_CALENDAR_AT:
-                new = CalendarQueue()
-                new.push_many(heap)
-                self._heap = new
-        elif len(heap) <= AUTO_HEAP_AT:
-            new = HeapQueue(heap.entries())
-            heapify(new)
-            self._heap = new
 
     # -- factory helpers --------------------------------------------------------
 
@@ -352,23 +277,19 @@ class Simulator:
                 raise EventLifecycleError(
                     "cannot schedule at NaN delay (would corrupt heap ordering)"
                 )
-            # Inline Timeout._rearm: this is the hottest allocation site in
-            # the library, one attribute store saved per field matters.
+            # Re-arm inline: this is the hottest allocation site in the
+            # library, one attribute store saved per field matters.
+            # ``callbacks``/``defused`` were reset when the run loop pooled
+            # the instance, and a pooled timeout was never cancelled.
             t = pool.pop()
             t.delay = delay
             t._ok = True
             t._value = value
             seq = self._seq
-            heap = self._heap
-            if heap.__class__ is HeapQueue:
-                heappush(heap, (self._now + delay, 1, seq, t))
-            else:
-                heap.push((self._now + delay, 1, seq, t))
+            heappush(self._heap, (self._now + delay, 1, seq, t))
             t._gen = seq
             self._seq = seq + 1
             self.pool_hits += 1
-            if self._auto:
-                self._auto_migrate()
             return t
         grave = self._grave
         if grave and _getrefcount is not None:
@@ -394,16 +315,10 @@ class Simulator:
                 cand.defused = False
                 cand._cancelled = False
                 seq = self._seq
-                heap = self._heap
-                if heap.__class__ is HeapQueue:
-                    heappush(heap, (self._now + delay, 1, seq, cand))
-                else:
-                    heap.push((self._now + delay, 1, seq, cand))
+                heappush(self._heap, (self._now + delay, 1, seq, cand))
                 cand._gen = seq
                 self._seq = seq + 1
                 self.pool_hits += 1
-                if self._auto:
-                    self._auto_migrate()
                 return cand
             grave.append(cand)
         return Timeout(self, delay, value)
@@ -442,43 +357,16 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
 
-        Tombstoned (cancelled) entries are discarded silently; they do not
-        count as the one processed event.
+        A budget-1 pass of :meth:`_run_loop`.  Tombstoned (cancelled)
+        entries are discarded silently; they do not count as the one
+        processed event.  Raises :class:`StopSimulation` when no live
+        event is pending.  The budget check returns before the free-list
+        probe, so the processed event is never recycled.
         """
-        while True:
-            heap = self._heap
-            if not heap:
-                break
-            if heap.__class__ is HeapQueue:
-                when, _prio, seq, event = heappop(heap)
-            else:
-                when, _prio, seq, event = heap.pop()
-            if event._gen != seq:
-                if event._gen == -1:
-                    event._detached = True
-                self._tombstones -= 1
-                continue
-            self._now = when
-
-            cbs = event.callbacks
-            event.callbacks = _PROCESSED_MARK
-            for hook in self._trace_hooks:
-                hook(when, event)
-            if cbs is not None:
-                if cbs.__class__ is list:
-                    for callback in cbs:
-                        callback(event)
-                else:
-                    cbs(event)
-
-            self.events_processed += 1
-            _GLOBAL_EVENTS[0] += 1
-            if event._ok is False and not event.defused:
-                # A failure nobody handled: crash loudly with the original
-                # error.
-                raise event._value
-            return
-        raise StopSimulation("event heap is empty")
+        before = self.events_processed
+        self._run_loop(_INF, None, 1)
+        if self.events_processed == before:
+            raise StopSimulation("event heap is empty")
 
     def _run_loop(
         self,
@@ -486,7 +374,8 @@ class Simulator:
         stop_event: Optional[Event],
         budget: Optional[int] = None,
     ) -> None:
-        """The inlined hot loop shared by :meth:`run` and :meth:`run_all`.
+        """The one inlined hot loop behind :meth:`run`, :meth:`run_all`
+        and :meth:`step`.
 
         Everything touched per event is bound to a local: the heap (list
         identity is stable — compaction rewrites it in place), heappop,
@@ -494,16 +383,7 @@ class Simulator:
         free list, and the refcount probe.  Counter attributes are flushed
         back in the ``finally`` block so exceptions (including simulation
         failures propagated out of callbacks) keep the totals honest.
-
-        Only the default heap backend may take this loop — binding the
-        heap local once assumes stable list identity, which ``auto``
-        migration breaks.  Everything else routes through
-        :meth:`_run_loop_generic`, which has identical semantics.
         """
-        if self._heap.__class__ is not HeapQueue or self._auto:
-            if self._heap.__class__ is CalendarQueue and not self._auto:
-                return self._run_loop_calendar(stop_at, stop_event, budget)
-            return self._run_loop_generic(stop_at, stop_event, budget)
         heap = self._heap
         pop = heappop
         hooks = self._trace_hooks
@@ -598,209 +478,6 @@ class Simulator:
             if peak > self.heap_peak:
                 self.heap_peak = peak
 
-    def _run_loop_calendar(
-        self,
-        stop_at: float,
-        stop_event: Optional[Event],
-        budget: Optional[int] = None,
-    ) -> None:
-        """Inlined run loop for an explicit :class:`CalendarQueue` backend.
-
-        The calendar's whole point is O(1) far inserts, but driving it
-        through ``heap.first()``/``heap.pop()`` costs three Python-level
-        method calls per event that the heap loop's C ``heappop`` never
-        pays — enough to cancel the asymptotic win.  This loop reaches
-        into the backend instead: the *near* heap is a plain list whose
-        minimum is the global minimum whenever it is non-empty (every
-        far entry sits at or beyond the horizon), so the body C-pops
-        ``near`` directly and only calls :meth:`CalendarQueue._promote`
-        when it drains.  ``q._near`` is re-read every iteration because
-        promotion and compaction replace the list object; ``q`` itself
-        is bound once — an explicit calendar backend never migrates
-        (``auto`` routes to :meth:`_run_loop_generic`).
-        """
-        q = self._heap
-        pop = heappop
-        promote = q._promote
-        hooks = self._trace_hooks
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        pool_max = self._POOL_MAX
-        getref = _getrefcount
-        local_refs = _LOCAL_REFS if getref is not None else None
-        mark = _PROCESSED_MARK
-        unset = _UNSET
-        timeout_cls = Timeout
-        event_cls = Event
-        check_stop = stop_event is not None or stop_at != _INF
-        limit = -1 if budget is None else budget
-        peak = self.heap_peak
-        n = 0
-        try:
-            while True:
-                near = q._near
-                if not near:
-                    if not q._far_len:
-                        return
-                    promote()
-                    near = q._near
-                hlen = len(near) + q._far_len
-                if hlen > peak:
-                    peak = hlen
-                if check_stop:
-                    if stop_event is not None and stop_event.callbacks is mark:
-                        return
-                    if near[0][0] > stop_at:
-                        return
-                when, _prio, seq, event = pop(near)
-                if event._gen != seq:
-                    if event._gen == -1:
-                        event._detached = True
-                    self._tombstones -= 1
-                    continue
-                self._now = when
-                cls = event.__class__
-
-                cbs = event.callbacks
-                event.callbacks = mark
-                if hooks:
-                    for hook in hooks:
-                        hook(when, event)
-                if cbs is not None:
-                    if cbs.__class__ is list:
-                        for callback in cbs:
-                            callback(event)
-                    else:
-                        cbs(event)
-
-                n += 1
-                if event._ok is False and not event.defused:
-                    raise event._value
-                if n == limit:
-                    return
-
-                if cls is timeout_cls:
-                    if (
-                        local_refs is not None
-                        and len(tpool) < pool_max
-                        and getref(event) == local_refs
-                    ):
-                        event.callbacks = None
-                        event._value = None
-                        event.defused = False
-                        tpool.append(event)
-                elif (
-                    cls is event_cls
-                    and local_refs is not None
-                    and len(epool) < pool_max
-                    and getref(event) == local_refs
-                ):
-                    event.callbacks = None
-                    event._value = unset
-                    event._ok = None
-                    event.defused = False
-                    epool.append(event)
-        finally:
-            self.events_processed += n
-            _GLOBAL_EVENTS[0] += n
-            if peak > self.heap_peak:
-                self.heap_peak = peak
-
-    def _run_loop_generic(
-        self,
-        stop_at: float,
-        stop_event: Optional[Event],
-        budget: Optional[int] = None,
-    ) -> None:
-        """Backend-agnostic run loop (``auto`` and third-party backends).
-
-        Same semantics as :meth:`_run_loop` — stop conditions, tombstone
-        discards, trace hooks, failure propagation, free-list recycling,
-        counter flushing — but the queue is re-read from ``self._heap``
-        every iteration (``auto`` migration swaps the object under us)
-        and accessed through the backend's ``first``/``pop`` methods.
-        """
-        hooks = self._trace_hooks
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        pool_max = self._POOL_MAX
-        getref = _getrefcount
-        local_refs = _LOCAL_REFS if getref is not None else None
-        mark = _PROCESSED_MARK
-        unset = _UNSET
-        timeout_cls = Timeout
-        event_cls = Event
-        check_stop = stop_event is not None or stop_at != _INF
-        limit = -1 if budget is None else budget
-        peak = self.heap_peak
-        n = 0
-        try:
-            while True:
-                heap = self._heap
-                if not heap:
-                    return
-                hlen = len(heap)
-                if hlen > peak:
-                    peak = hlen
-                if check_stop:
-                    if stop_event is not None and stop_event.callbacks is mark:
-                        return
-                    if heap.first()[0] > stop_at:
-                        return
-                when, _prio, seq, event = heap.pop()
-                if event._gen != seq:
-                    if event._gen == -1:
-                        event._detached = True
-                    self._tombstones -= 1
-                    continue
-                self._now = when
-                cls = event.__class__
-
-                cbs = event.callbacks
-                event.callbacks = mark
-                if hooks:
-                    for hook in hooks:
-                        hook(when, event)
-                if cbs is not None:
-                    if cbs.__class__ is list:
-                        for callback in cbs:
-                            callback(event)
-                    else:
-                        cbs(event)
-
-                n += 1
-                if event._ok is False and not event.defused:
-                    raise event._value
-                if n == limit:
-                    return
-
-                if cls is timeout_cls:
-                    if (
-                        local_refs is not None
-                        and len(tpool) < pool_max
-                        and getref(event) == local_refs
-                    ):
-                        event.callbacks = None
-                        event._value = None
-                        event.defused = False
-                        tpool.append(event)
-                elif (
-                    cls is event_cls
-                    and local_refs is not None
-                    and len(epool) < pool_max
-                    and getref(event) == local_refs
-                ):
-                    event.callbacks = None
-                    event._value = unset
-                    event._ok = None
-                    event.defused = False
-                    epool.append(event)
-        finally:
-            self.events_processed += n
-            _GLOBAL_EVENTS[0] += n
-            if peak > self.heap_peak:
-                self.heap_peak = peak
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the event loop.
 
@@ -851,12 +528,14 @@ class Simulator:
     def run_all(self, max_events: int = 50_000_000) -> int:
         """Run until empty with a safety valve; returns events processed.
 
-        Tombstone discards do not count toward the total or the valve.
+        Tombstone discards do not count toward the total or the valve,
+        which trips only if a live event is still pending once
+        *max_events* have fired.
         """
         before = self.events_processed
         self._run_loop(_INF, None, max_events)
         n = self.events_processed - before
-        if n >= max_events:
+        if n >= max_events and self.peek() != _INF:
             raise StopSimulation(f"exceeded max_events={max_events}")
         return n
 

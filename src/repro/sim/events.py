@@ -325,19 +325,6 @@ class Timeout(Event):
         self._value = value
         sim.schedule(self, delay=delay)
 
-    def _rearm(self, delay: float, value: Any) -> None:
-        """Reset a recycled instance for reuse (kernel-internal).
-
-        Only called by :meth:`Simulator.timeout` on instances the run loop
-        proved unreferenced; ``callbacks`` was already reset to ``None``
-        (no waiters) when the instance entered the free list.
-        """
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        self.defused = False
-        self._cancelled = False
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Timeout delay={self.delay} state={self.state}>"
 

@@ -6,46 +6,18 @@ These collectors are deliberately tiny and allocation-free on the hot
 path — a `record()` is a few float ops — because a single benchmark run
 can record hundreds of thousands of samples.
 
-* :class:`Counter`      — monotone event count.
-* :class:`Tally`        — streaming mean/variance/min/max (Welford).
-* :class:`TimeWeighted` — time-averaged value of a piecewise-constant signal
-  (queue lengths, outstanding credits).
-* :class:`Histogram`    — fixed-bin histogram over a known range.
+* :class:`Tally`          — streaming mean/variance/min/max (Welford).
 * :class:`SeriesRecorder` — raw ``(time, value)`` pairs for plotting.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.core import Simulator
-
-__all__ = ["Counter", "Tally", "TimeWeighted", "Histogram", "SeriesRecorder"]
-
-
-class Counter:
-    """A named monotone counter."""
-
-    __slots__ = ("name", "count")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.count = 0
-
-    def increment(self, n: int = 1) -> None:
-        """Add *n* (default 1) to the count."""
-        self.count += n
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name!r} {self.count}>"
+__all__ = ["Tally", "SeriesRecorder"]
 
 
 class Tally:
@@ -117,105 +89,6 @@ class Tally:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Tally {self.name!r} n={self.count} mean={self.mean:.6g}>"
-
-
-class TimeWeighted:
-    """Time-average of a piecewise-constant signal.
-
-    Call :meth:`set` whenever the signal changes; the mean weights each
-    value by how long it was held.
-    """
-
-    __slots__ = ("name", "sim", "_value", "_last_t", "_area", "_start_t")
-
-    def __init__(self, sim: "Simulator", initial: float = 0.0, name: str = "") -> None:
-        self.name = name
-        self.sim = sim
-        self._value = float(initial)
-        self._last_t = sim.now
-        self._start_t = sim.now
-        self._area = 0.0
-
-    @property
-    def value(self) -> float:
-        """Current level of the signal."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Change the signal level at the current simulated time."""
-        now = self.sim.now
-        self._area += self._value * (now - self._last_t)
-        self._last_t = now
-        self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        """Shift the level by *delta* (e.g. +1/-1 for a queue)."""
-        self.set(self._value + delta)
-
-    @property
-    def mean(self) -> float:
-        """Time-averaged level from creation to the current time."""
-        now = self.sim.now
-        span = now - self._start_t
-        if span <= 0:
-            return self._value
-        return (self._area + self._value * (now - self._last_t)) / span
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<TimeWeighted {self.name!r} value={self._value} mean={self.mean:.6g}>"
-
-
-class Histogram:
-    """Fixed-bin histogram over ``[low, high)`` with under/overflow bins."""
-
-    def __init__(self, low: float, high: float, nbins: int, name: str = "") -> None:
-        if not (high > low and nbins >= 1):
-            raise ValueError("need high > low and nbins >= 1")
-        self.name = name
-        self.low = float(low)
-        self.high = float(high)
-        self.nbins = int(nbins)
-        self._width = (self.high - self.low) / self.nbins
-        self.bins = np.zeros(nbins, dtype=np.int64)
-        self.underflow = 0
-        self.overflow = 0
-        self.tally = Tally(name)
-
-    def record(self, x: float) -> None:
-        """Add one sample."""
-        self.tally.record(x)
-        if x < self.low:
-            self.underflow += 1
-        elif x >= self.high:
-            self.overflow += 1
-        else:
-            self.bins[int((x - self.low) / self._width)] += 1
-
-    @property
-    def count(self) -> int:
-        """Total samples including under/overflow."""
-        return self.tally.count
-
-    def bin_edges(self) -> np.ndarray:
-        """The ``nbins + 1`` bin edges."""
-        return np.linspace(self.low, self.high, self.nbins + 1)
-
-    def percentile(self, q: float) -> float:
-        """Approximate q-th percentile (0..100) from bin midpoints."""
-        if self.count == 0:
-            return math.nan
-        target = self.count * q / 100.0
-        run = self.underflow
-        if run >= target:
-            return self.low
-        for i in range(self.nbins):
-            run += int(self.bins[i])
-            if run >= target:
-                return self.low + (i + 0.5) * self._width
-        return self.high
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Histogram {self.name!r} n={self.count}>"
 
 
 class SeriesRecorder:

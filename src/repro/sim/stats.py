@@ -1,31 +1,20 @@
-"""Output analysis for simulation experiments.
+"""Output analysis for finished simulation samples.
 
-Classic DES output statistics, used by the harness and available to
-users:
-
-* :class:`BatchMeans` — confidence intervals for a steady-state mean
-  from one long run, via the method of nonoverlapping batch means;
-* :func:`trim_warmup` — drop an initial transient from a time series;
-* :func:`mser5` — the MSER-5 truncation heuristic for picking the
-  warmup length automatically (White 1997);
 * :class:`Summary` — five-number roll-up of a finished series (the
   benchmark harness uses it for per-layer trace accounting);
 * :func:`percentile` — exact nearest-rank percentile of a finished
-  sample (the serving suite's p50/p99 SLO metrics; unlike
-  ``Histogram.percentile`` there is no binning error, so the values
-  are reproducible bit-for-bit).
+  sample (the serving and tails suites' p50/p99 SLO metrics; there is
+  no binning or interpolation error, so the values are reproducible
+  bit-for-bit).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
-import numpy as np
-from scipy import stats as sp_stats
-
-__all__ = ["BatchMeans", "Summary", "percentile", "trim_warmup", "mser5"]
+__all__ = ["Summary", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -84,107 +73,3 @@ class Summary:
             return cls(0, 0.0, 0.0, 0.0, 0.0)
         total = math.fsum(vals)
         return cls(len(vals), total, total / len(vals), min(vals), max(vals))
-
-
-class BatchMeans:
-    """Confidence interval for a steady-state mean via batch means.
-
-    Samples stream in through :meth:`record`; :meth:`interval` splits
-    them into ``n_batches`` equal batches, treats batch averages as
-    (approximately) independent normals, and returns a Student-t
-    confidence interval.
-
-    Examples
-    --------
-    >>> bm = BatchMeans()
-    >>> for x in range(1000):
-    ...     bm.record((x % 10) + 0.5)
-    >>> lo, hi = bm.interval()
-    >>> lo < 5.5 < hi
-    True
-    """
-
-    def __init__(self, n_batches: int = 10) -> None:
-        if n_batches < 2:
-            raise ValueError("need at least 2 batches")
-        self.n_batches = n_batches
-        self._samples: List[float] = []
-
-    def record(self, x: float) -> None:
-        """Add one sample."""
-        self._samples.append(float(x))
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        """Grand mean over all samples."""
-        if not self._samples:
-            return math.nan
-        return float(np.mean(self._samples))
-
-    def batch_means(self) -> np.ndarray:
-        """The per-batch averages (equal batches; remainder dropped)."""
-        n = len(self._samples)
-        if n < self.n_batches:
-            raise ValueError(
-                f"{n} samples cannot fill {self.n_batches} batches"
-            )
-        size = n // self.n_batches
-        used = np.asarray(self._samples[: size * self.n_batches])
-        return used.reshape(self.n_batches, size).mean(axis=1)
-
-    def interval(self, confidence: float = 0.95) -> Tuple[float, float]:
-        """Two-sided confidence interval for the steady-state mean."""
-        means = self.batch_means()
-        k = len(means)
-        center = float(means.mean())
-        s = float(means.std(ddof=1))
-        if s == 0.0:
-            return (center, center)
-        half = sp_stats.t.ppf(0.5 + confidence / 2.0, k - 1) * s / math.sqrt(k)
-        return (center - half, center + half)
-
-    def relative_half_width(self, confidence: float = 0.95) -> float:
-        """Half-width of the CI divided by the mean (run-length control)."""
-        lo, hi = self.interval(confidence)
-        center = (lo + hi) / 2.0
-        if center == 0:
-            return math.inf
-        return (hi - lo) / 2.0 / abs(center)
-
-
-def trim_warmup(values: Sequence[float], fraction: float = 0.1) -> List[float]:
-    """Drop the first *fraction* of the series (simple transient cut)."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
-    start = int(len(values) * fraction)
-    return list(values[start:])
-
-
-def mser5(values: Sequence[float]) -> int:
-    """MSER-5 warmup truncation point (index into *values*).
-
-    Groups the series into batches of 5, then picks the truncation
-    minimizing the standard error of the remaining batch means.
-    Returns the sample index at which the steady state is deemed to
-    begin (0 when the series is too short to judge).
-    """
-    batch = 5
-    arr = np.asarray(values, dtype=float)
-    n_batches = len(arr) // batch
-    if n_batches < 4:
-        return 0
-    means = arr[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
-    best_d, best_score = 0, math.inf
-    # Standard MSER rule: do not consider cutting more than half the run.
-    for d in range(0, n_batches // 2):
-        rest = means[d:]
-        k = len(rest)
-        score = float(rest.var(ddof=0)) / k
-        if score < best_score:
-            best_score = score
-            best_d = d
-    return best_d * batch

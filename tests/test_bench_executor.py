@@ -402,7 +402,7 @@ def test_fig2_quick_equals_full():
 
 def test_every_figure_panel_has_a_plan():
     for panel in FIGURES:
-        if panel in ("kernel", "queues", "sweep", "fluid", "serve_par"):
+        if panel in ("kernel", "sweep", "fluid", "serve_par"):
             assert PLANS.get(panel) is None
         else:
             plan = PLANS[panel](True)

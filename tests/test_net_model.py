@@ -1,5 +1,9 @@
 """Unit tests for the protocol cost models and calibration."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.net import (
@@ -144,6 +148,23 @@ class TestFitting:
             assert fitted.message_latency(s) == pytest.approx(lat, rel=0.05)
         for s, bw in bw_pts:
             assert fitted.streaming_bandwidth(s) == pytest.approx(bw, rel=0.05)
+
+    def test_simulation_import_path_leaves_scipy_unloaded(self):
+        """scipy is imported lazily by fit_cost_model only: a fresh
+        interpreter importing the scenario modules never loads it."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys\n"
+            "import repro.apps.serve, repro.apps.tails, repro.sockets\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestModelUtilities:

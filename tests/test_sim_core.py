@@ -99,6 +99,95 @@ class TestRun:
         with pytest.raises(StopSimulation):
             sim.run_all(max_events=100)
 
+    def test_run_all_budget_exactly_drains_queue(self, sim):
+        for _ in range(3):
+            sim.timeout(1)
+        assert sim.run_all(max_events=3) == 3
+        assert sim.peek() == float("inf")
+
+    def test_run_all_budget_ignores_trailing_tombstones(self, sim):
+        for _ in range(3):
+            sim.timeout(1)
+        sim.timeout(2).cancel()
+        assert sim.run_all(max_events=3) == 3
+
+    def test_run_all_budget_raises_with_live_event_pending(self, sim):
+        for _ in range(4):
+            sim.timeout(1)
+        with pytest.raises(StopSimulation, match="max_events=3"):
+            sim.run_all(max_events=3)
+        assert sim.events_processed == 3
+
+
+class TestStep:
+    def test_step_skips_tombstones(self, sim):
+        first = sim.timeout(1)
+        sim.timeout(2, value="second")
+        first.cancel()
+        sim.step()
+        assert sim.now == 2
+        assert sim.events_processed == 1
+        assert sim.peek() == float("inf")
+
+    def test_step_on_all_cancelled_heap_raises(self, sim):
+        for delay in (1, 2, 3):
+            sim.timeout(delay).cancel()
+        with pytest.raises(StopSimulation):
+            sim.step()
+        assert sim.now == 0
+        assert sim.events_processed == 0
+        assert len(sim._heap) == 0
+
+    def test_step_propagates_unhandled_failure(self, sim):
+        sim.event().fail(RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.step()
+        assert sim.events_processed == 1
+
+    def test_step_never_recycles_the_processed_event(self, sim):
+        sim.timeout(1)
+        sim.timeout(2)
+        sim.step()
+        assert sim._timeout_pool == []
+        # The same unreferenced timeout shape is recycled by run().
+        sim.run()
+        assert len(sim._timeout_pool) == 1
+
+    def test_step_driven_run_matches_run(self):
+        def scenario():
+            sim = Simulator()
+            log = []
+
+            def proc(name, period, n):
+                for i in range(n):
+                    yield sim.timeout(period)
+                    log.append((sim.now, name, i))
+                    if i == 2:
+                        ev = sim.event()
+                        sim.timeout(period / 2).add_callback(
+                            lambda e, ev=ev: ev.succeed(name))
+                        yield ev
+
+            for name, period in (("a", 0.5), ("b", 0.25), ("c", 0.5)):
+                sim.process(proc(name, period, 6))
+            doomed = sim.timeout(1.0)
+            doomed.cancel()
+            return sim, log
+
+        ran, ran_log = scenario()
+        ran.run()
+        stepped, stepped_log = scenario()
+        steps = 0
+        while True:
+            try:
+                stepped.step()
+            except StopSimulation:
+                break
+            steps += 1
+        assert stepped_log == ran_log
+        assert stepped.now == ran.now
+        assert steps == stepped.events_processed == ran.events_processed
+
 
 class TestTraceHooks:
     def test_hook_sees_every_event(self, sim):

@@ -1,264 +1,172 @@
-"""Event-queue backend tests (`repro.sim.queues`).
+"""Pending-event queue tests: the kernel heap against a sorted reference.
 
-The contract under test: every backend dequeues the pending set in
-exactly heapq's ``(time, priority, seq)`` order, through any
-interleaving of ``schedule`` / ``schedule_many`` / ``cancel`` with tied
-timestamps, lazy tombstones, and compaction sweeps.  The property tests
-drive both the raw queue structures against a sorted-reference oracle
-and full :class:`Simulator` instances against the default heap backend.
+The contract under test: the simulator fires the pending set in exactly
+``(time, priority, seq)`` order, through any interleaving of
+``schedule`` / ``schedule_many`` / ``cancel`` / ``run(until=)`` /
+``step()`` with tied timestamps and priorities, lazy tombstones, and
+compaction sweeps.  The oracle is a plain list re-sorted before every
+pop — no heap — so a heap-order bug cannot hide in both sides.
 """
-
-import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StopSimulation
 from repro.sim import Simulator
-from repro.sim.queues import (
-    AUTO_CALENDAR_AT,
-    AUTO_HEAP_AT,
-    CalendarQueue,
-    HeapQueue,
-    make_queue,
-    resolve_queue_backend,
-)
 
-BACKENDS = ("heap", "calendar", "auto")
-
-# A coarse time grid (multiples of 0.25 over a few bucket widths)
-# maximizes ties on time and bucket-boundary hits in the calendar.
+# A coarse time grid (multiples of 0.25) maximizes ties on time and
+# keeps every sum exact in binary floating point.
 grid_times = st.integers(min_value=0, max_value=16).map(lambda i: i * 0.25)
 priorities = st.integers(min_value=0, max_value=1)
 
-
-def _drain(queue):
-    out = []
-    while queue:
-        out.append(queue.pop())
-    return out
-
-
-class TestRawQueueOrder:
-    @given(st.lists(st.tuples(grid_times, priorities), max_size=120))
-    @settings(max_examples=120, deadline=None)
-    def test_calendar_pop_order_matches_heapq(self, keys):
-        """Bulk load then drain: exact heapq order."""
-        cal = CalendarQueue()
-        ref = []
-        for seq, (t, prio) in enumerate(keys):
-            entry = (t, prio, seq, None)
-            cal.push(entry)
-            ref.append(entry)
-        heapq.heapify(ref)
-        expect = [heapq.heappop(ref) for _ in range(len(keys))]
-        assert _drain(cal) == expect
-
-    @given(st.lists(st.tuples(grid_times, priorities), max_size=100),
-           st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_calendar_interleaved_push_pop(self, keys, data):
-        """Pops interleaved with monotone-time pushes stay in order.
-
-        Mirrors kernel usage: an event pushed while the queue is being
-        drained is never earlier than the last pop (no scheduling into
-        the past), so each push's time is offset by the drain position.
-        """
-        cal = CalendarQueue()
-        ref = []
-        popped = []
-        now = 0.0
-        for seq, (t, prio) in enumerate(keys):
-            entry = (now + t, prio, seq, None)
-            cal.push(entry)
-            heapq.heappush(ref, entry)
-            while ref and data.draw(st.booleans(), label="pop?"):
-                got = cal.pop()
-                popped.append(got)
-                assert got == heapq.heappop(ref)
-                now = got[0]
-        tail = _drain(cal)
-        assert tail == [heapq.heappop(ref) for _ in range(len(ref))]
-        assert tail == sorted(tail)
-        assert len(popped) + len(tail) == len(keys)
-        assert not cal
-
-    def test_calendar_overflow_bucket_handles_inf(self):
-        cal = CalendarQueue()
-        cal.push((float("inf"), 1, 2, None))
-        cal.push((1e18, 1, 1, None))
-        cal.push((0.5, 1, 0, None))
-        assert _drain(cal) == [
-            (0.5, 1, 0, None),
-            (1e18, 1, 1, None),
-            (float("inf"), 1, 2, None),
-        ]
-
-    def test_calendar_compact_preserves_order(self):
-        cal = CalendarQueue()
-        entries = [(float(i % 7), 1, i, None) for i in range(50)]
-        for e in entries:
-            cal.push(e)
-        cal.compact(lambda e: e[2] % 3 != 0)
-        live = sorted(e for e in entries if e[2] % 3 != 0)
-        assert len(cal) == len(live)
-        assert _drain(cal) == live
-
-    def test_heapqueue_is_list_for_c_heapq(self):
-        q = HeapQueue()
-        assert isinstance(q, list)
-        q.push((2.0, 1, 0, None))
-        heapq.heappush(q, (1.0, 1, 1, None))
-        assert q.first() == (1.0, 1, 1, None)
-        assert heapq.heappop(q) == (1.0, 1, 1, None)
-        assert q.pop() == (2.0, 1, 0, None)
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(width=0.0)
-
-
 # One operation in the interleaving strategy:
-#   ("schedule", delay, priority) | ("burst", [(delay, prio), ...])
+#   ("schedule", delay, priority) | ("burst", priority, [delay, ...])
 #   | ("cancel", index) — cancels the index-th still-live event
-#   | ("run", delay) — advance the clock partway through the pending set
+#   | ("run", delay) — run(until=now + delay)
+#   | ("step",) — process exactly one event
+#   | ("peek",) — time of the next live event
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), grid_times, priorities),
-        st.tuples(st.just("burst"),
-                  st.lists(st.tuples(grid_times, priorities),
-                           min_size=1, max_size=5)),
+        st.tuples(st.just("burst"), priorities,
+                  st.lists(grid_times, min_size=1, max_size=5)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("run"), grid_times),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("peek")),
     ),
     min_size=1,
     max_size=60,
 )
 
 
-def _apply_ops(backend, ops):
-    """Replay an op script on a fresh Simulator; log processed events.
+class _Oracle:
+    """Sorted-list reference model of the pending set."""
 
-    Every scheduled event gets a unique tag recorded at processing time
-    together with ``sim.now`` — identical logs across backends means
-    identical ``(time, priority, seq)`` dequeue order (seq assignment is
-    deterministic given the script, and ties are broken only by seq).
-    """
-    sim = Simulator(queue=backend)
+    def __init__(self):
+        self.pending = []  # (time, priority, seq, tag)
+        self.now = 0.0
+        self.log = []
+
+    def pop_next(self):
+        self.pending.sort()
+        when, _prio, _seq, tag = self.pending.pop(0)
+        self.now = when
+        self.log.append((when, tag))
+
+    def run_until(self, stop_at):
+        while self.pending and min(self.pending)[0] <= stop_at:
+            self.pop_next()
+        self.now = max(self.now, stop_at)
+
+    def drain(self):
+        while self.pending:
+            self.pop_next()
+
+    def cancel(self, tag):
+        self.pending = [e for e in self.pending if e[3] != tag]
+
+
+def _replay(ops):
+    """Drive a Simulator and the oracle through one op script."""
+    sim = Simulator()
+    # Shrink the compaction floor so short scripts also exercise sweeps.
+    sim._COMPACT_MIN = 4
+    oracle = _Oracle()
     log = []
-    live = []
-    tag = 0
+    live = {}  # tag -> event, scheduled and neither fired nor cancelled
+    seq = 0
 
-    def triggered_event():
-        nonlocal tag
+    def triggered_event(tag):
         event = sim.event()
-        this = tag
-        tag += 1
-        event.add_callback(lambda e, t=this: log.append((sim.now, t)))
+        event.add_callback(lambda e: (log.append((sim.now, tag)),
+                                      live.pop(tag)))
         # Trigger by hand (succeed() would also schedule): schedule()
         # requires a triggered event, and cancel() a scheduled one.
         event._ok = True
         event._value = None
-        live.append(event)
+        live[tag] = event
         return event
+
+    def enqueue(delay, prio):
+        nonlocal seq
+        oracle.pending.append((oracle.now + delay, prio, seq, seq))
+        seq += 1
+        return triggered_event(seq - 1)
 
     for op in ops:
         kind = op[0]
         if kind == "schedule":
-            sim.schedule(triggered_event(), delay=op[1], priority=op[2])
+            sim.schedule(enqueue(op[1], op[2]), delay=op[1], priority=op[2])
         elif kind == "burst":
+            prio = op[1]
             sim.schedule_many(
-                (triggered_event(), delay) for delay, _prio in op[1])
+                [(enqueue(delay, prio), delay) for delay in op[2]],
+                priority=prio)
         elif kind == "cancel":
-            candidates = [e for e in live if not e.processed and not e._cancelled]
-            if candidates:
-                candidates[op[1] % len(candidates)].cancel()
+            if live:
+                tag = sorted(live)[op[1] % len(live)]
+                live.pop(tag).cancel()
+                oracle.cancel(tag)
         elif kind == "run":
-            sim.run(until=sim.now + op[1])
+            stop_at = sim.now + op[1]
+            sim.run(until=stop_at)
+            oracle.run_until(stop_at)
+        elif kind == "step":
+            if oracle.pending:
+                sim.step()
+                oracle.pop_next()
+            else:
+                with pytest.raises(StopSimulation):
+                    sim.step()
+        else:
+            expect = min(oracle.pending)[0] if oracle.pending else float("inf")
+            assert sim.peek() == expect
+        assert sim.now == oracle.now
+        assert log == oracle.log
     sim.run()
-    return log, sim
+    oracle.drain()
+    return sim, log, oracle
 
 
 class TestBackendEquivalence:
+    """The kernel heap and the sorted-list oracle are the two backends."""
+
     @given(ops_strategy)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_all_backends_dequeue_identically(self, ops):
-        reference, ref_sim = _apply_ops("heap", ops)
-        for backend in ("calendar", "auto"):
-            log, sim = _apply_ops(backend, ops)
-            assert log == reference, f"{backend} diverged from heap"
-            assert sim.events_processed == ref_sim.events_processed
-            assert sim.now == ref_sim.now
+        sim, log, oracle = _replay(ops)
+        assert log == oracle.log
+        assert sim.now == oracle.now
+        assert sim.events_processed == len(log)
+        assert not oracle.pending
+        assert sim.peek() == float("inf")
 
-    @given(ops_strategy)
+    @given(st.lists(st.tuples(grid_times, priorities), max_size=40))
     @settings(max_examples=40, deadline=None)
-    def test_peek_agrees_across_backends(self, ops):
-        sims = {b: Simulator(queue=b) for b in BACKENDS}
-        for op in ops:
-            if op[0] == "schedule":
-                for sim in sims.values():
-                    sim.schedule(sim.event(), delay=op[1], priority=op[2])
-        peeks = {b: sim.peek() for b, sim in sims.items()}
-        assert len(set(peeks.values())) == 1
+    def test_peek_agrees_across_backends(self, schedules):
+        ops = [("schedule", delay, prio) for delay, prio in schedules]
+        # _replay checks peek() against the oracle after every schedule.
+        _replay([op for pair in zip(ops, [("peek",)] * len(ops))
+                 for op in pair] + [("peek",)])
 
 
-class TestBackendSelection:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert resolve_queue_backend() == "calendar"
-        assert Simulator()._heap.__class__ is CalendarQueue
+class TestHeapOrderOracle:
+    def test_ties_break_by_priority_then_seq(self):
+        ops = [("schedule", 1.0, 1), ("schedule", 1.0, 0),
+               ("burst", 1, [1.0, 0.5]), ("schedule", 1.0, 0)]
+        _sim, log, _oracle = _replay(ops)
+        # tags: 0 (1.0,p1) 1 (1.0,p0) 2 (1.0,p1) 3 (0.5,p1) 4 (1.0,p0)
+        assert [tag for _t, tag in log] == [3, 1, 4, 0, 2]
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert Simulator(queue="heap")._heap.__class__ is HeapQueue
-
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_QUEUE", raising=False)
-        assert resolve_queue_backend() == "heap"
-        assert Simulator()._heap.__class__ is HeapQueue
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="splay")
-
-    def test_make_queue(self):
-        assert make_queue("heap").__class__ is HeapQueue
-        assert make_queue("auto").__class__ is HeapQueue
-        assert make_queue("calendar").__class__ is CalendarQueue
-
-
-class TestAutoMigration:
-    def test_auto_migrates_up_and_back(self):
-        sim = Simulator(queue="auto")
-        assert sim._heap.__class__ is HeapQueue
-        events = []
-        for _ in range(AUTO_CALENDAR_AT + 1):
-            e = sim.event()
-            e._ok = True
-            e._value = None
-            events.append(e)
-        sim.schedule_many((e, float(i % 11)) for i, e in enumerate(events))
-        assert sim._heap.__class__ is CalendarQueue
-        # Drain below the low-water mark, then one more schedule hops back.
-        sim.run()
-        assert len(sim._heap) == 0
-        sim.timeout(1.0)
-        assert sim._heap.__class__ is HeapQueue
-        assert len(sim._heap) == 1
-        assert AUTO_HEAP_AT < AUTO_CALENDAR_AT
-
-    def test_auto_run_spans_migration(self):
-        """Events scheduled around a migration all fire, in time order."""
-        sim = Simulator(queue="auto")
-        fired = []
-        n = AUTO_CALENDAR_AT + 64
-        for i in range(n):
-            sim.timeout(float(i % 13)).add_callback(
-                lambda e, i=i: fired.append((sim.now, i)))
-        assert sim._heap.__class__ is CalendarQueue
-        sim.run()
-        assert len(fired) == n
-        assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+    def test_cancel_storm_compacts_and_keeps_order(self):
+        ops = [("burst", 1, [float(i % 5) for i in range(40)])]
+        ops += [("cancel", 0)] * 30
+        sim, log, oracle = _replay(ops)
+        assert sim.compactions >= 1
+        assert len(log) == 10
+        assert log == oracle.log
 
 
 class TestCounters:
@@ -281,11 +189,3 @@ class TestCounters:
         sim.process(churn())
         sim.run()
         assert sim.pool_hits > 0
-
-    def test_counters_on_calendar_backend(self):
-        sim = Simulator(queue="calendar")
-        timers = [sim.timeout(float(i % 5) + 0.5) for i in range(4096)]
-        for t in timers:
-            t.cancel()
-        assert sim.compactions >= 1
-        assert len(sim._heap) == 0

@@ -1,9 +1,8 @@
 """Unit tests for output-analysis statistics (repro.sim.stats)."""
 
-import numpy as np
 import pytest
 
-from repro.sim.stats import BatchMeans, mser5, percentile, trim_warmup
+from repro.sim.stats import percentile
 
 
 class TestPercentile:
@@ -37,81 +36,3 @@ class TestPercentile:
     def test_input_order_is_irrelevant(self):
         assert percentile([3.0, 1.0, 2.0], 50) == \
             percentile([1.0, 2.0, 3.0], 50) == 2.0
-
-
-class TestBatchMeans:
-    def test_interval_covers_true_mean(self):
-        rng = np.random.default_rng(0)
-        bm = BatchMeans(n_batches=10)
-        for x in rng.normal(7.0, 2.0, size=2000):
-            bm.record(x)
-        lo, hi = bm.interval(0.95)
-        assert lo < 7.0 < hi
-        assert hi - lo < 0.5
-
-    def test_constant_series_zero_width(self):
-        bm = BatchMeans(n_batches=5)
-        for _ in range(50):
-            bm.record(3.0)
-        assert bm.interval() == (3.0, 3.0)
-        assert bm.mean == 3.0
-
-    def test_higher_confidence_wider_interval(self):
-        rng = np.random.default_rng(1)
-        bm = BatchMeans()
-        for x in rng.normal(0.0, 1.0, size=500):
-            bm.record(x)
-        lo95, hi95 = bm.interval(0.95)
-        lo99, hi99 = bm.interval(0.99)
-        assert (hi99 - lo99) > (hi95 - lo95)
-
-    def test_too_few_samples_raises(self):
-        bm = BatchMeans(n_batches=10)
-        for x in range(5):
-            bm.record(x)
-        with pytest.raises(ValueError):
-            bm.interval()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchMeans(n_batches=1)
-
-    def test_relative_half_width_shrinks_with_samples(self):
-        rng = np.random.default_rng(2)
-        widths = []
-        for n in (200, 5000):
-            bm = BatchMeans()
-            for x in rng.normal(10.0, 3.0, size=n):
-                bm.record(x)
-            widths.append(bm.relative_half_width())
-        assert widths[1] < widths[0]
-
-    def test_empty_mean_is_nan(self):
-        assert np.isnan(BatchMeans().mean)
-
-
-class TestWarmup:
-    def test_trim_warmup_drops_prefix(self):
-        assert trim_warmup([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 0.3) == [4, 5, 6, 7, 8, 9, 10]
-
-    def test_trim_zero_keeps_everything(self):
-        assert trim_warmup([1, 2, 3], 0.0) == [1, 2, 3]
-
-    def test_trim_validation(self):
-        with pytest.raises(ValueError):
-            trim_warmup([1], 1.0)
-
-    def test_mser5_finds_obvious_transient(self):
-        # 50 transient samples at 100, then steady state around 5.
-        rng = np.random.default_rng(3)
-        series = [100.0] * 50 + list(rng.normal(5.0, 0.5, size=450))
-        cut = mser5(series)
-        assert 40 <= cut <= 80
-
-    def test_mser5_stationary_series_cuts_little(self):
-        rng = np.random.default_rng(4)
-        series = list(rng.normal(5.0, 0.5, size=500))
-        assert mser5(series) <= 50
-
-    def test_mser5_short_series(self):
-        assert mser5([1.0, 2.0, 3.0]) == 0
