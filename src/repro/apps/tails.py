@@ -38,16 +38,13 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.cluster.topology import Cluster
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
 from repro.datacutter.buffers import DataBuffer
 from repro.datacutter.runtime import ReplicaSet, UnitOfWork
-from repro.datacutter.scheduling import (
-    ReplicationPolicy,
-    active_replication_policy,
-)
+from repro.datacutter.scheduling import ReplicationPolicy
 from repro.errors import ExperimentError
 from repro.sim import Event, Simulator
 from repro.sim.stats import percentile
@@ -70,17 +67,15 @@ DEFAULT_HEDGE_US = 2000.0
 class TailsConfig:
     """Experiment knobs for the replicated-dispatch scenario.
 
-    The replication knobs (``k``, ``cancel``, ``hedge_us``) default to
-    ``None`` = "take the ambient :func:`replicating
-    <repro.datacutter.scheduling.replicating>` policy's value, else the
-    unreplicated default" — the same explicit-over-ambient layering
-    :class:`repro.apps.wancache` uses for cache knobs.
+    The replication knobs (``k``, ``cancel``, ``hedge_us``) are the
+    :class:`~repro.datacutter.scheduling.ReplicationPolicy` fields; the
+    defaults dispatch unreplicated with the scenario's hedge deadline.
     """
 
     protocol: str = "socketvia"
-    k: Optional[int] = None
-    cancel: Optional[str] = None
-    hedge_us: Optional[float] = None
+    k: int = 1
+    cancel: str = "lazy"
+    hedge_us: float = DEFAULT_HEDGE_US
     n_workers: int = 6
     n_queries: int = 400
     #: Open-loop Poisson arrival rate (queries/second of simulated time).
@@ -94,20 +89,9 @@ class TailsConfig:
     stack_options: Dict[str, Any] = field(default_factory=dict)
 
     def resolved_policy(self) -> ReplicationPolicy:
-        """Explicit knobs, then the ambient policy, then no replication."""
-        ambient = active_replication_policy()
-        k = self.k
-        if k is None:
-            k = ambient.k if ambient is not None else 1
-        cancel = self.cancel
-        if cancel is None:
-            cancel = ambient.cancel if ambient is not None else "lazy"
-        hedge = self.hedge_us
-        if hedge is None and ambient is not None:
-            hedge = ambient.hedge_us
-        if hedge is None:
-            hedge = DEFAULT_HEDGE_US
-        return ReplicationPolicy(k=k, cancel=cancel, hedge_us=hedge)
+        """The replication knobs as a validated ReplicationPolicy."""
+        return ReplicationPolicy(k=self.k, cancel=self.cancel,
+                                 hedge_us=self.hedge_us)
 
 
 class ReplicaBoard:
@@ -205,7 +189,7 @@ class TailsDispatcher(Filter):
         sim = ctx.sim
         port = ctx.outputs["queries"]
         sched = port.scheduler
-        hedge_s = (policy.hedge_us or 0.0) * 1e-6
+        hedge_s = policy.hedge_us * 1e-6
         # agenda entries: (time, tiebreak_seq, kind, qid); kind 0 is an
         # arrival, kind 1 a hedge deadline.
         agenda = [

@@ -30,11 +30,6 @@ DataCutter frontend, and cold blocks cross the WAN via
 driver behind the stripe-scaling panel (``wcb``) — no cache, no
 pipeline, just one striped read of the whole block space with its
 reassembly digest.
-
-Any knob the explicit config leaves as ``None`` is filled from the
-ambient :class:`~repro.cache.CacheConfig` (``with configured(cfg):``),
-which is also fingerprinted into the sweep-result cache key — results
-measured under different ambient cache configurations never alias.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache import BlockCache, CacheConfig, active_cache_config
+from repro.cache import BlockCache, CacheConfig
 from repro.cluster.topology import Cluster, wan_model, wan_topology
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
 from repro.errors import SocketClosedError
@@ -99,16 +94,15 @@ class WanCacheConfig:
     """Knobs of the WAN query scenario.
 
     ``placement`` / ``eviction`` / ``capacity_blocks`` /
-    ``stripe_width`` default to ``None`` = *take the ambient*
-    :class:`~repro.cache.CacheConfig` (or its defaults when none is
-    installed).
+    ``stripe_width`` are the :class:`~repro.cache.CacheConfig` fields,
+    with its defaults.
     """
 
     protocol: str = "socketvia"
-    placement: Optional[str] = None
-    eviction: Optional[str] = None
-    capacity_blocks: Optional[int] = None
-    stripe_width: Optional[int] = None
+    placement: str = "edge"
+    eviction: str = "lru"
+    capacity_blocks: int = 0
+    stripe_width: int = 1
     temperature: str = "cold"
     n_blocks: int = 64
     block_bytes: int = 64 * 1024
@@ -127,17 +121,12 @@ class WanCacheConfig:
                 f"got {self.temperature!r}")
 
     def resolved_cache(self) -> CacheConfig:
-        """Explicit knobs override the ambient config field-by-field."""
-        ambient = active_cache_config() or CacheConfig()
+        """The cache + striping knobs as a validated CacheConfig."""
         return CacheConfig(
-            placement=self.placement or ambient.placement,
-            eviction=self.eviction or ambient.eviction,
-            capacity_blocks=(ambient.capacity_blocks
-                             if self.capacity_blocks is None
-                             else self.capacity_blocks),
-            stripe_width=(ambient.stripe_width
-                          if self.stripe_width is None
-                          else self.stripe_width),
+            placement=self.placement,
+            eviction=self.eviction,
+            capacity_blocks=self.capacity_blocks,
+            stripe_width=self.stripe_width,
         )
 
     def query_blocks(self, q: int) -> List[int]:

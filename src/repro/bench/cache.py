@@ -11,45 +11,25 @@ pytest, CI — shares one store.
 Key anatomy (SHA-256 over a canonical JSON document)::
 
     {
-      "cache_schema": 1,          # bump to invalidate every entry
+      "cache_schema": 2,          # bump to invalidate every entry
       "figure": "8a",             # panel the point belongs to
       "fn": "fig8_rate",          # registry name of the point function
       "params": {...},            # sort_keys canonical JSON kwargs
       "code": "<fingerprint>",    # hash over src/repro/**/*.py + git sha
-      "faults": null,             # ambient FaultPlan fingerprint, or null
-      "mode": "packet",           # effective simulation mode
-      "cache_cfg": null,          # ambient CacheConfig fingerprint, or null
-      "replication": null         # ambient ReplicationPolicy fingerprint, or null
+      "context": {...}            # RunContext.current().fingerprint()
     }
 
-The *faults* field is :func:`repro.faults.active_fingerprint` — ``None``
-unless the sweep runs inside ``with injecting(plan):`` — so results
-measured under an ambient fault plan can never be confused with
-fault-free ones (or with a different plan's).  Chaos points that carry
-their plan explicitly in ``params`` are already distinguished by it;
-this field covers ambient installation around a whole run.
-
-The *cache_cfg* field plays the same role for the WAN block-cache
-tier: it is :func:`repro.cache.active_cache_fingerprint` — ``None``
-unless the sweep runs inside ``with configured(cache_config):`` — so
-point results measured under different ambient cache temperatures,
-placements, or stripe widths can never alias.  The wancache panels
-carry their knobs explicitly in ``params``; this field covers ambient
-installation (``WanCacheConfig`` fills unset knobs from the ambient
-config, which would otherwise be invisible to the key).
-
-The *replication* field does the same for replicated dispatch: it is
-:func:`repro.datacutter.scheduling.active_replication_fingerprint` —
-``None`` unless the sweep runs inside ``with replicating(policy):`` —
-so tails points measured under different ambient (k, cancel, hedge)
-settings never alias.  The tails panels carry their knobs explicitly
-in ``params``; this field covers ambient installation (``TailsConfig``
-fills unset knobs from the ambient policy).
-
-The *mode* field is :func:`repro.sim.flow.effective_sim_mode` — the
-simulation mode transfers actually run under (``"packet"`` or
-``"fluid"``), so packet-mode and fluid-mode point results never alias
-even when their values agree.
+Everything a point's result depends on that is *not* in its ``params``
+is ambient run state, and :class:`RunContext` is the one list of it:
+the effective simulation mode (``"packet"`` or ``"fluid"``, so
+packet-mode and fluid-mode results never alias even when their values
+agree) and the ambient :class:`~repro.faults.FaultPlan` (so results
+measured inside ``with injecting(plan):`` can never be confused with
+fault-free ones, or with a different plan's).  The same object is what
+:class:`~repro.bench.executor.SweepExecutor` ships to its pool workers,
+so a knob cannot reach the key without reaching the workers, or the
+other way round.  Scenario knobs (cache placement, stripe width,
+replication factor, a chaos point's own plan) ride in ``params``.
 
 The *code fingerprint* hashes the installed ``repro`` package sources
 (sorted relative paths + file contents) together with
@@ -80,18 +60,24 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional
+
+from repro.faults.plan import FaultPlan, active_plan, injecting
+from repro.sim.flow import effective_sim_mode, simulation_mode
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_MAX_BYTES",
     "cache_dir",
     "code_fingerprint",
+    "RunContext",
     "ResultCache",
 ]
 
 #: Bump to orphan every existing entry (key and payload format changes).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Default size cap for the on-disk store (64 MB ~ tens of thousands of
 #: points; one entry is typically well under a kilobyte).
@@ -153,6 +139,56 @@ def code_fingerprint(refresh: bool = False) -> str:
     return _fingerprint
 
 
+@dataclass(frozen=True)
+class RunContext:
+    """The ambient run state a point's result depends on.
+
+    One field per knob: :meth:`ResultCache.key` hashes
+    :meth:`fingerprint`, and the sweep executor ships :meth:`to_dict`
+    to every point and reinstalls it with :meth:`running`, so pool
+    workers run under exactly the state the key records.
+    """
+
+    mode: str = "packet"                 # effective simulation mode
+    faults: Optional[FaultPlan] = None   # ambient fault plan; None = none
+
+    @classmethod
+    def current(cls) -> "RunContext":
+        """The context in effect now: the effective mode plus the
+        ambient plan (``None`` when no plan or an empty one is
+        installed — both leave every fault hook off)."""
+        plan = active_plan()
+        return cls(mode=effective_sim_mode(),
+                   faults=None if plan is None or plan.is_empty else plan)
+
+    @contextmanager
+    def running(self) -> Iterator["RunContext"]:
+        """Install this context for the duration of the block."""
+        with simulation_mode(self.mode), injecting(self.faults):
+            yield self
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"mode": self.mode,
+                "faults": None if self.faults is None
+                else self.faults.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "RunContext":
+        faults = d["faults"]
+        return cls(mode=d["mode"],
+                   faults=None if faults is None
+                   else FaultPlan.from_dict(faults))
+
+    def fingerprint(self) -> Dict[str, Optional[str]]:
+        """The cache-key field.  An empty plan keys like no plan, and a
+        plan's display name never partitions the key (it is not part
+        of :meth:`FaultPlan.fingerprint`)."""
+        plan = self.faults
+        return {"mode": self.mode,
+                "faults": None if plan is None or plan.is_empty
+                else plan.fingerprint()}
+
+
 class ResultCache:
     """Content-addressed point-result store with an LRU size cap.
 
@@ -172,23 +208,13 @@ class ResultCache:
 
     def key(self, figure: str, fn: str, params: Dict[str, Any]) -> str:
         """SHA-256 cache key for one point (see module docstring)."""
-        from repro.cache import active_cache_fingerprint
-        from repro.datacutter.scheduling import (
-            active_replication_fingerprint,
-        )
-        from repro.faults import active_fingerprint
-        from repro.sim.flow import effective_sim_mode
-
         doc = {
             "cache_schema": CACHE_SCHEMA_VERSION,
             "figure": figure,
             "fn": fn,
             "params": params,
             "code": code_fingerprint(),
-            "faults": active_fingerprint(),
-            "mode": effective_sim_mode(),
-            "cache_cfg": active_cache_fingerprint(),
-            "replication": active_replication_fingerprint(),
+            "context": RunContext.current().fingerprint(),
         }
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()

@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.bench.cache import ResultCache
+from repro.bench.cache import ResultCache, RunContext
 from repro.bench.records import ExperimentTable, ratio
 
 __all__ = [
@@ -118,42 +118,24 @@ def execute_point(spec: Tuple) -> Dict[str, Any]:
     value is canonicalized through a JSON round-trip, making a fresh
     result bit-identical to one later read back from the cache.
 
-    *spec* is ``(figure, fn, params)``, optionally extended with a
-    fourth element — the ambient :class:`~repro.faults.FaultPlan` as a
-    dict (or None) — a fifth: the simulation mode the point must run
-    under (see :func:`repro.sim.flow.simulation_mode`) — a sixth: the
-    ambient :class:`~repro.cache.CacheConfig` as a dict (or None) —
-    and a seventh: the ambient
-    :class:`~repro.datacutter.scheduling.ReplicationPolicy` as a dict
-    (or None).  The executor ships them when set, so pool workers —
-    separate processes that never saw the parent's ambient state —
-    reinstall the same plan, mode, cache configuration, and
-    replication policy.
+    *spec* is ``(figure, fn, params, context)``: *context* is the
+    submitting side's :class:`~repro.bench.cache.RunContext` as a dict,
+    reinstalled here so pool workers — separate processes that never
+    saw the parent's ambient state — run under the same mode and fault
+    plan as the serial path, and as the cache key records.
     """
     from repro.bench.figures import POINT_FNS
     from repro.bench.runner import TraceAggregator
-    from repro.cache import CacheConfig, configured
-    from repro.datacutter.scheduling import ReplicationPolicy, replicating
-    from repro.faults import FaultPlan, injecting
     from repro.sim.core import global_events_processed
-    from repro.sim.flow import simulation_mode
     from repro.sim.trace import Tracer, tracing
 
-    figure, fn, params = spec[:3]
-    plan_dict = spec[3] if len(spec) > 3 else None
-    mode = spec[4] if len(spec) > 4 else None
-    cfg_dict = spec[5] if len(spec) > 5 else None
-    rep_dict = spec[6] if len(spec) > 6 else None
-    plan = None if plan_dict is None else FaultPlan.from_dict(plan_dict)
-    cache_cfg = None if cfg_dict is None else CacheConfig.from_dict(cfg_dict)
-    policy = (None if rep_dict is None
-              else ReplicationPolicy.from_dict(rep_dict))
+    figure, fn, params, context = spec
     agg = TraceAggregator()
     tracer = Tracer()
     tracer.subscribe("", agg)
     before = global_events_processed()
-    with simulation_mode(mode), injecting(plan), configured(cache_cfg), \
-            replicating(policy), tracing(tracer, record=False):
+    with RunContext.from_dict(context).running(), \
+            tracing(tracer, record=False):
         value = POINT_FNS[fn](**params)
     return {
         "value": json.loads(json.dumps(value)),
@@ -247,29 +229,9 @@ class SweepExecutor:
                      f"{len(points) - len(pending)} cached, "
                      f"{len(pending)} to run (jobs={self.jobs})")
         if pending:
-            from repro.cache import active_cache_config
-            from repro.datacutter.scheduling import (
-                active_replication_policy,
-            )
-            from repro.faults import active_plan
-            from repro.sim.flow import resolve_sim_mode
-
-            ambient = active_plan()
-            plan_dict = (ambient.to_dict()
-                         if ambient is not None and not ambient.is_empty
-                         else None)
-            mode = resolve_sim_mode()
-            cache_cfg = active_cache_config()
-            cfg_dict = None if cache_cfg is None else cache_cfg.to_dict()
-            policy = active_replication_policy()
-            rep_dict = None if policy is None else policy.to_dict()
-            if (mode == "packet" and plan_dict is None
-                    and cfg_dict is None and rep_dict is None):
-                extra = ()  # default state: keep the legacy 3-tuple spec
-            else:
-                extra = (plan_dict, mode, cfg_dict, rep_dict)
-            specs = [(points[i].figure, points[i].fn, dict(points[i].params))
-                     + extra
+            context = RunContext.current().to_dict()
+            specs = [(points[i].figure, points[i].fn, dict(points[i].params),
+                      context)
                      for i in pending]
             if self.jobs > 1 and len(pending) > 1:
                 outs = list(self._ensure_pool().map(execute_point, specs))

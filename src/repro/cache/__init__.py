@@ -10,24 +10,15 @@ simulation:
   service: block-granular get/put, LRU/LFU/clock eviction,
   deterministic hit/miss accounting, ``cache.*`` trace points;
 * :class:`~repro.cache.config.CacheConfig` — declarative placement /
-  eviction / capacity / stripe-width configuration with an ambient
-  installation context (:func:`~repro.cache.config.configured`) that
-  the sweep-result cache fingerprints, exactly like ambient fault
-  plans.
+  eviction / capacity / stripe-width configuration, validated at
+  construction.
 
 The scenario that puts the tier to work is
 :mod:`repro.apps.wancache`; the striped transfers that fetch misses
 are :mod:`repro.transport.striped`.  See docs/CACHING.md.
 """
 
-from repro.cache.config import (
-    PLACEMENTS,
-    CacheConfig,
-    active_cache_config,
-    active_cache_fingerprint,
-    configured,
-    set_active_cache_config,
-)
+from repro.cache.config import PLACEMENTS, CacheConfig
 from repro.cache.policies import EVICTION_POLICIES, make_policy
 from repro.cache.service import BlockCache
 
@@ -36,9 +27,5 @@ __all__ = [
     "EVICTION_POLICIES",
     "BlockCache",
     "CacheConfig",
-    "active_cache_config",
-    "active_cache_fingerprint",
-    "configured",
-    "set_active_cache_config",
     "make_policy",
 ]

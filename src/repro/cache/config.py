@@ -1,45 +1,24 @@
-"""Declarative cache/stripe configuration with an ambient context.
+"""Declarative cache/stripe configuration.
 
 :class:`CacheConfig` bundles the knobs that change *what a measurement
 means* when a block-cache tier sits between storage and the client:
 where the cache lives, how it evicts, how big it is, and how many
-parallel stripes a logical read fans across.  Like
-:class:`repro.faults.FaultPlan`, a config can be installed *ambiently*
-(:func:`configured`) so that code which builds scenarios — and, more
-importantly, the sweep-result cache — can observe it without parameter
-threading:
-
-* :func:`repro.apps.wancache.run_wan_queries` fills any knob its
-  explicit config leaves as ``None`` from the ambient config;
-* :meth:`repro.bench.cache.ResultCache.key` includes
-  :func:`active_cache_fingerprint`, so point results measured under an
-  ambient cache config can never alias results measured under a
-  different one (or none) — the same partitioning PR 5 gave ambient
-  fault plans;
-* :func:`repro.bench.executor.execute_point` re-installs the submitting
-  side's ambient config inside pool workers.
-
-The fingerprint hashes the canonical JSON form, so two configs equal
-field-for-field fingerprint identically no matter how they were built.
+parallel stripes a logical read fans across.  Scenarios build one from
+their own explicit fields
+(:meth:`repro.apps.wancache.WanCacheConfig.resolved_cache`), so a
+config always travels inside a point's ``params`` and the sweep-result
+cache keys on it there.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
 
 from repro.cache.policies import EVICTION_POLICIES
 
 __all__ = [
     "PLACEMENTS",
     "CacheConfig",
-    "active_cache_config",
-    "active_cache_fingerprint",
-    "set_active_cache_config",
-    "configured",
 ]
 
 #: Where the cache host sits relative to the WAN (docs/CACHING.md):
@@ -80,64 +59,3 @@ class CacheConfig:
             raise ValueError("capacity_blocks must be >= 0")
         if self.stripe_width < 1:
             raise ValueError("stripe_width must be >= 1")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "placement": self.placement,
-            "eviction": self.eviction,
-            "capacity_blocks": int(self.capacity_blocks),
-            "stripe_width": int(self.stripe_width),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "CacheConfig":
-        return cls(
-            placement=d.get("placement", "edge"),
-            eviction=d.get("eviction", "lru"),
-            capacity_blocks=int(d.get("capacity_blocks", 0)),
-            stripe_width=int(d.get("stripe_width", 1)),
-        )
-
-    def fingerprint(self) -> str:
-        """Short content hash of the canonical form (cache-key field)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-# -- ambient installation (mirrors repro.faults.plan) -------------------------
-
-_active: Optional[CacheConfig] = None
-
-
-def active_cache_config() -> Optional[CacheConfig]:
-    """The ambiently installed config, or None."""
-    return _active
-
-
-def active_cache_fingerprint() -> Optional[str]:
-    """Fingerprint of the ambient config, or None when none is
-    installed — the value the sweep-result cache keys on."""
-    if _active is None:
-        return None
-    return _active.fingerprint()
-
-
-def set_active_cache_config(
-    config: Optional[CacheConfig],
-) -> Optional[CacheConfig]:
-    """Install *config* ambiently; returns the previous one."""
-    global _active
-    previous = _active
-    _active = config
-    return previous
-
-
-@contextmanager
-def configured(config: Optional[CacheConfig]):
-    """Ambiently install *config* for the duration of the block."""
-    previous = set_active_cache_config(config)
-    try:
-        yield config
-    finally:
-        set_active_cache_config(previous)

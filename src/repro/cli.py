@@ -443,6 +443,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.apps.tails import DEFAULT_HEDGE_US
+    from repro.sim.flow import MODES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -458,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--quick", action="store_true", help="reduced axes")
     p_fig.add_argument("--save", metavar="DIR", default=None,
                        help="also write the table to DIR")
-    p_fig.add_argument("--mode", choices=("packet", "fluid", "auto"),
+    p_fig.add_argument("--mode", choices=MODES,
                        default=None,
                        help="simulation mode (default: REPRO_SIM_MODE env "
                             "or packet)")
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="with --jobs: memoize per-chunk results "
                               "in this content-addressed cache dir")
-    p_serve.add_argument("--mode", choices=("packet", "fluid", "auto"),
+    p_serve.add_argument("--mode", choices=MODES,
                          default=None,
                          help="simulation mode (default: REPRO_SIM_MODE "
                               "env or packet)")
@@ -531,11 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
                          default="lazy",
                          help="loser handling: lazy kernel cancellation "
                               "or run to completion (default lazy)")
-    p_tails.add_argument("--hedge-us", type=float, default=None,
+    p_tails.add_argument("--hedge-us", type=float, default=DEFAULT_HEDGE_US,
                          metavar="US", dest="hedge_us",
                          help="hedge deadline in microseconds; 0 races "
-                              "all k replicas from dispatch (default: "
-                              "policy default, ~2x service time)")
+                              "all k replicas from dispatch (default "
+                              f"{DEFAULT_HEDGE_US:g}, ~2x service time)")
     p_tails.add_argument("--workers", type=int, default=6,
                          help="worker copies (default 6)")
     p_tails.add_argument("--queries", type=int, default=400,
@@ -546,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault preset (see 'faults list'; "
                               "default none)")
     p_tails.add_argument("--seed", type=int, default=29)
-    p_tails.add_argument("--mode", choices=("packet", "fluid", "auto"),
+    p_tails.add_argument("--mode", choices=MODES,
                          default=None,
-                         help="simulation mode override (default: "
-                              "REPRO_SIM_MODE or auto)")
+                         help="simulation mode (default: REPRO_SIM_MODE "
+                              "env or packet)")
     p_tails.set_defaults(func=cmd_tails)
 
     p_list = sub.add_parser("list", help="list available figures")
@@ -588,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb_run.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="cache dir (default REPRO_BENCH_CACHE or "
                              "benchmarks/cache)")
-    pb_run.add_argument("--mode", choices=("packet", "fluid", "auto"),
+    pb_run.add_argument("--mode", choices=MODES,
                         default=None,
                         help="simulation mode for the run (default: "
                              "REPRO_SIM_MODE env or packet); recorded in "

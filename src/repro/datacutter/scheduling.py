@@ -31,11 +31,8 @@ is *refused and counted* instead of growing an unbounded backlog.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from bisect import bisect_left, insort
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Any, Deque, Dict, Generator, Iterable, List, Optional,
                     Set)
@@ -51,10 +48,6 @@ __all__ = [
     "make_scheduler",
     "AdmissionQueue",
     "ReplicationPolicy",
-    "active_replication_policy",
-    "active_replication_fingerprint",
-    "set_active_replication_policy",
-    "replicating",
 ]
 
 DEFAULT_MAX_OUTSTANDING = 2
@@ -78,19 +71,15 @@ class ReplicationPolicy:
     immediately and replicas 1..k-1 only if the unit is still undecided
     ``hedge_us`` microseconds later — Dean's hedged request, which buys
     the tail recovery of replication at a fraction of the duplicate
-    load.  ``hedge_us=0`` races all k replicas from the start (the
-    configuration the determinism tests exercise); ``None`` means "no
-    hedging" and is treated as 0 by the tails scenario.
-
-    Like :class:`repro.cache.config.CacheConfig`, a policy can be
-    installed *ambiently* (:func:`replicating`) so scenario builders
-    fill unset knobs from it and the sweep-result cache partitions on
-    :func:`active_replication_fingerprint`.
+    load.  ``hedge_us=0`` (the default) races all k replicas from the
+    start (the configuration the determinism tests exercise); the tails
+    scenario's own default is
+    :data:`~repro.apps.tails.DEFAULT_HEDGE_US`.
     """
 
     k: int = 1
     cancel: str = "lazy"
-    hedge_us: Optional[float] = None
+    hedge_us: float = 0.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -99,68 +88,8 @@ class ReplicationPolicy:
             raise ValueError(
                 f"cancel must be one of {CANCEL_MODES}, got {self.cancel!r}"
             )
-        if self.hedge_us is not None and self.hedge_us < 0:
+        if self.hedge_us < 0:
             raise ValueError(f"hedge_us must be >= 0, got {self.hedge_us}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "k": int(self.k),
-            "cancel": self.cancel,
-            "hedge_us": None if self.hedge_us is None else float(self.hedge_us),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ReplicationPolicy":
-        hedge = d.get("hedge_us")
-        return cls(
-            k=int(d.get("k", 1)),
-            cancel=d.get("cancel", "lazy"),
-            hedge_us=None if hedge is None else float(hedge),
-        )
-
-    def fingerprint(self) -> str:
-        """Short content hash of the canonical form (cache-key field)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-# -- ambient installation (mirrors repro.cache.config) -------------------------
-
-_active_policy: Optional[ReplicationPolicy] = None
-
-
-def active_replication_policy() -> Optional[ReplicationPolicy]:
-    """The ambiently installed replication policy, or None."""
-    return _active_policy
-
-
-def active_replication_fingerprint() -> Optional[str]:
-    """Fingerprint of the ambient policy, or None when none is
-    installed — the value the sweep-result cache keys on."""
-    if _active_policy is None:
-        return None
-    return _active_policy.fingerprint()
-
-
-def set_active_replication_policy(
-    policy: Optional[ReplicationPolicy],
-) -> Optional[ReplicationPolicy]:
-    """Install *policy* ambiently; returns the previous one."""
-    global _active_policy
-    previous = _active_policy
-    _active_policy = policy
-    return previous
-
-
-@contextmanager
-def replicating(policy: Optional[ReplicationPolicy]):
-    """Ambiently install *policy* for the duration of the block."""
-    previous = set_active_replication_policy(policy)
-    try:
-        yield policy
-    finally:
-        set_active_replication_policy(previous)
 
 
 class WriteScheduler:

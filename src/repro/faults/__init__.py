@@ -35,7 +35,6 @@ from repro.faults.plan import (
     FaultPlan,
     HostFault,
     LinkFault,
-    active_fingerprint,
     active_plan,
     injecting,
     set_active_plan,
@@ -51,7 +50,6 @@ __all__ = [
     "WindowedSlowdown",
     "RetryPolicy",
     "active_plan",
-    "active_fingerprint",
     "set_active_plan",
     "injecting",
     "PRESETS",

@@ -37,7 +37,6 @@ __all__ = [
     "HostFault",
     "FaultPlan",
     "active_plan",
-    "active_fingerprint",
     "set_active_plan",
     "injecting",
 ]
@@ -294,14 +293,6 @@ _active: Optional[FaultPlan] = None
 def active_plan() -> Optional[FaultPlan]:
     """The ambient fault plan, or None (fault-free)."""
     return _active
-
-
-def active_fingerprint() -> Optional[str]:
-    """The ambient plan's fingerprint, or None when no non-empty plan
-    is active — the exact value the bench cache key records."""
-    if _active is None or _active.is_empty:
-        return None
-    return _active.fingerprint()
 
 
 def set_active_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:

@@ -19,7 +19,6 @@ from repro.sim.flow import (
     effective_sim_mode,
     fluid_active,
     resolve_sim_mode,
-    set_sim_mode,
     simulation_mode,
     solve_pipeline,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "FlowModel",
     "FluidFlow",
     "resolve_sim_mode",
-    "set_sim_mode",
     "simulation_mode",
     "fluid_active",
     "effective_sim_mode",

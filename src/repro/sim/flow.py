@@ -20,8 +20,8 @@ are quiet can be collapsed into a handful of rate events:
 
 Mode selection lives here too so every layer gates its fast path the
 same way: ``resolve_sim_mode`` reads an explicit argument, then the
-process-global override (:func:`set_sim_mode` / the
-:func:`simulation_mode` context manager), then the ``REPRO_SIM_MODE``
+process-global override (the :func:`simulation_mode` context
+manager), then the ``REPRO_SIM_MODE``
 environment variable, and defaults to ``"packet"``.  ``fluid_active``
 additionally forces packet fidelity whenever a ``repro.faults`` plan
 is ambient — fault windows need per-segment interception, and the
@@ -43,21 +43,19 @@ __all__ = [
     "effective_sim_mode",
     "fluid_active",
     "resolve_sim_mode",
-    "set_sim_mode",
     "simulation_mode",
     "solve_pipeline",
 ]
 
-#: Valid simulation modes.  ``auto`` behaves like ``fluid`` — the
-#: per-transfer gates already fall back to packet fidelity whenever a
-#: transfer does not qualify, so "fluid where safe" is the only fluid
-#: policy there is; the spelling exists for forward compatibility.
-MODES = ("packet", "fluid", "auto")
+#: Valid simulation modes.  ``fluid`` means "fluid where safe": the
+#: per-transfer gates fall back to packet fidelity whenever a transfer
+#: does not qualify.
+MODES = ("packet", "fluid")
 
 _ENV_VAR = "REPRO_SIM_MODE"
 
-#: Process-global override installed by :func:`set_sim_mode`; ``None``
-#: defers to the environment.
+#: Process-global override installed by :func:`simulation_mode`;
+#: ``None`` defers to the environment.
 _mode_override: Optional[str] = None
 
 
@@ -83,13 +81,6 @@ def resolve_sim_mode(explicit: Optional[str] = None) -> str:
     return "packet"
 
 
-def set_sim_mode(mode: Optional[str]) -> None:
-    """Install (or with ``None`` clear) the process-global mode
-    override.  Prefer the :func:`simulation_mode` context manager."""
-    global _mode_override
-    _mode_override = None if mode is None else _validate(mode)
-
-
 @contextmanager
 def simulation_mode(mode: Optional[str]) -> Iterator[None]:
     """Run a block under *mode* (``None`` = leave the ambient mode)."""
@@ -107,7 +98,7 @@ def simulation_mode(mode: Optional[str]) -> Iterator[None]:
 
 def fluid_active() -> bool:
     """True when transfers may take the fluid fast path: mode is
-    ``fluid``/``auto`` *and* no fault plan is ambient.  Fault windows
+    ``fluid`` *and* no fault plan is ambient.  Fault windows
     need per-segment interception, so an active plan forces packet
     fidelity for its whole scope (keeping the chaos suite
     bit-identical with all-packet runs)."""

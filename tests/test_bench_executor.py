@@ -5,11 +5,13 @@ every figure panel, the table merged from the point decomposition —
 serial, parallel (``jobs=2``), or replayed from the cache — must equal
 the serial driver's table exactly, not approximately.  The remaining
 tests cover the cache key anatomy (params / code-fingerprint
-sensitivity), LRU eviction, corrupt-entry handling, ``git_sha``'s
+sensitivity), the run context every key and worker spec carries, LRU
+eviction, corrupt-entry handling, ``git_sha``'s
 quiet fallback, record-level equality through ``run_experiment``, and
 the ``bench run --jobs`` / ``bench cache`` CLI plumbing.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -18,9 +20,11 @@ import subprocess
 import pytest
 
 from repro.bench import cache as cache_mod
+from repro.bench import executor as executor_mod
 from repro.bench import figures, servebench, tailsbench, wancachebench
-from repro.bench.cache import ResultCache, code_fingerprint
+from repro.bench.cache import ResultCache, RunContext, code_fingerprint
 from repro.bench.executor import (
+    Point,
     SweepExecutor,
     execute_point,
     merge_kinds,
@@ -30,7 +34,7 @@ from repro.bench.runner import git_sha, run_experiment
 from repro.bench.suites import FIGURES, PLANS, get_suite
 from repro.cli import main
 from repro.faults.plan import FaultPlan, HostFault, injecting
-from repro.sim.flow import simulation_mode
+from repro.sim.flow import resolve_sim_mode, simulation_mode
 
 #: Tiny axes per panel: enough to exercise every decomposition shape
 #: (drop-outs, dedup, multi-column rows) while staying fast.
@@ -119,7 +123,8 @@ class TestParallelMatchesSerial:
         # Reversing the points and un-reversing the values must give the
         # same table: merge consumes plan order, not completion order.
         plan = figures.fig4a_points(sizes=[4, 64, 256])
-        outs = [execute_point((p.figure, p.fn, dict(p.params)))
+        context = RunContext.current().to_dict()
+        outs = [execute_point((p.figure, p.fn, dict(p.params), context))
                 for p in reversed(plan.points)]
         values = [o["value"] for o in reversed(outs)]
         expected = figures.fig4a_latency(sizes=[4, 64, 256]).to_dict()
@@ -128,14 +133,14 @@ class TestParallelMatchesSerial:
 
 class TestModesMatchPacket:
     """Figure panels are mode-invariant: the paper's block sizes sit
-    below every fluid eligibility gate, so packet/fluid/auto must
+    below every fluid eligibility gate, so packet and fluid must
     produce byte-for-byte identical tables (the bit-compatible half of
     the fluid contract; the banded half lives in the fluid suite)."""
 
     PANELS = ("2", "4a", "4b", "7a")
 
     @pytest.mark.parametrize("panel", PANELS)
-    @pytest.mark.parametrize("mode", ["fluid", "auto"])
+    @pytest.mark.parametrize("mode", ["fluid"])
     def test_serial_bit_identical_across_modes(self, panel, mode):
         serial_fn, _, kwargs = CASES[panel]
         expected = serial_fn(**kwargs).to_dict()
@@ -233,24 +238,6 @@ class TestCacheKeys:
         assert cache.key("4b", "fig4a_size", {"size": 4}) != base
         assert cache.key("4a", "fig4a_size", {"size": 4}) == base
 
-    def test_key_sensitive_to_ambient_cache_config(self, tmp_path):
-        # Sweeps run under different ambient CacheConfigs must not
-        # collide in the result cache: the config fingerprint is part
-        # of the key, exactly like the fault-plan fingerprint.
-        from repro.cache import CacheConfig, configured
-
-        cache = ResultCache(str(tmp_path))
-        base = cache.key("wcq", "wcq_cell", {"stripe": 1})
-        with configured(CacheConfig(stripe_width=4)):
-            wide = cache.key("wcq", "wcq_cell", {"stripe": 1})
-        with configured(CacheConfig(placement="client")):
-            client = cache.key("wcq", "wcq_cell", {"stripe": 1})
-        assert wide != base
-        assert client != base
-        assert client != wide
-        # ... and leaving the context restores the unconfigured key.
-        assert cache.key("wcq", "wcq_cell", {"stripe": 1}) == base
-
     def test_key_sensitive_to_code_fingerprint(self, tmp_path, monkeypatch):
         cache = ResultCache(str(tmp_path))
         base = cache.key("4a", "fig4a_size", {"size": 4})
@@ -262,6 +249,69 @@ class TestCacheKeys:
         assert code_fingerprint() is first
         assert code_fingerprint(refresh=True) == first  # tree unchanged
         assert re.fullmatch(r"[0-9a-f]{64}", first)
+
+
+#: A non-default value for every RunContext field; a field added without
+#: one fails ``test_every_field_has_a_probe_value``.
+NON_DEFAULT = {
+    "mode": "fluid",
+    "faults": FaultPlan(name="probe", seed=3,
+                        hosts={"nope99": HostFault(crash_at=1.0,
+                                                   restart_at=2.0)}),
+}
+FIELDS = [f.name for f in dataclasses.fields(RunContext)]
+
+
+class TestRunContext:
+    """The run context is the one list of ambient state: every field
+    must reach both the cache key and the shipped worker spec."""
+
+    def test_every_field_has_a_probe_value(self):
+        assert sorted(NON_DEFAULT) == sorted(FIELDS)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_field_changes_the_key(self, name, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        with RunContext().running():
+            base = cache.key("4a", "fig4a_size", {"size": 4})
+        ctx = dataclasses.replace(RunContext(), **{name: NON_DEFAULT[name]})
+        with ctx.running():
+            assert RunContext.current() == ctx
+            assert cache.key("4a", "fig4a_size", {"size": 4}) != base
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_field_survives_the_shipped_spec(self, name, monkeypatch):
+        monkeypatch.setitem(figures.POINT_FNS, "context_probe",
+                            lambda: RunContext.current().to_dict())
+        specs = []
+
+        def spy(spec):
+            specs.append(spec)
+            return execute_point(spec)
+
+        monkeypatch.setattr(executor_mod, "execute_point", spy)
+        ctx = dataclasses.replace(RunContext(), **{name: NON_DEFAULT[name]})
+        with ctx.running():
+            SweepExecutor(jobs=1).run([Point("t", "context_probe")])
+        (spec,) = specs
+        # Replayed under the default context, as in a fresh worker.
+        with RunContext().running():
+            out = execute_point(spec)
+        assert out["value"] == json.loads(json.dumps(ctx.to_dict()))
+
+    def test_pool_workers_run_the_submitting_mode(self, monkeypatch):
+        # Workers inherit REPRO_SIM_MODE=fluid; the submitting side's
+        # simulation_mode("packet") must still win, as it does serially.
+        monkeypatch.setenv("REPRO_SIM_MODE", "fluid")
+        monkeypatch.setitem(figures.POINT_FNS, "mode_probe",
+                            lambda i: resolve_sim_mode())
+        probes = [Point("t", "mode_probe", {"i": i}) for i in range(2)]
+        with SweepExecutor(jobs=2) as pool:
+            assert [r.value for r in pool.run(probes)] == ["fluid"] * 2
+            with simulation_mode("packet"):
+                serial = [r.value for r in SweepExecutor(jobs=1).run(probes)]
+                parallel = [r.value for r in pool.run(probes)]
+        assert parallel == serial == ["packet"] * 2
 
 
 class TestCacheMaintenance:

@@ -3,8 +3,7 @@
 Covers the eviction policies (LRU / LFU / clock victim selection),
 the :class:`BlockCache` accounting contract (exact hits / misses /
 insertions / evictions, warm pre-population), the ``cache.*`` trace
-layer, and the :class:`CacheConfig` ambient-context machinery the
-sweep-result cache keys on.
+layer, and :class:`CacheConfig` validation.
 """
 
 import pytest
@@ -14,9 +13,6 @@ from repro.cache import (
     PLACEMENTS,
     BlockCache,
     CacheConfig,
-    active_cache_config,
-    active_cache_fingerprint,
-    configured,
     make_policy,
 )
 from repro.cluster.host import Host
@@ -158,29 +154,3 @@ class TestCacheConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CacheConfig(**kwargs)
-
-    def test_roundtrip_and_fingerprint_stability(self):
-        cfg = CacheConfig(placement="client", eviction="clock",
-                          capacity_blocks=16, stripe_width=4)
-        again = CacheConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        assert again.fingerprint() == cfg.fingerprint()
-
-    def test_fingerprint_separates_configs(self):
-        fps = {
-            CacheConfig(stripe_width=w, placement=p).fingerprint()
-            for w in (1, 4) for p in ("client", "edge")
-        }
-        assert len(fps) == 4
-
-    def test_ambient_install_and_restore(self):
-        assert active_cache_config() is None
-        assert active_cache_fingerprint() is None
-        cfg = CacheConfig(stripe_width=8)
-        with configured(cfg):
-            assert active_cache_config() is cfg
-            assert active_cache_fingerprint() == cfg.fingerprint()
-            with configured(None):  # explicit neutralization nests
-                assert active_cache_fingerprint() is None
-            assert active_cache_config() is cfg
-        assert active_cache_config() is None

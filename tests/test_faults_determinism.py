@@ -6,24 +6,26 @@ addressed bench cache and the parallel point executor:
 1. Injection is seeded simulation state, not wall-clock randomness:
    the same :class:`FaultPlan` gives bit-identical results run twice,
    and identical results whether points execute serially or in a
-   process pool — the ambient plan travels to the workers as a fourth
-   spec element and is reinstalled there.
+   process pool — the ambient plan travels to the workers inside the
+   shipped :class:`~repro.bench.cache.RunContext` and is reinstalled
+   there.
 2. An *empty* plan is a true no-op: results and cache keys are
    bit-identical to runs with no plan installed at all, so wrapping a
    sweep in ``with injecting(FaultPlan.empty()):`` can never orphan
    warm cache entries or perturb a figure.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.bench import figures
-from repro.bench.cache import ResultCache
+from repro.bench.cache import ResultCache, RunContext
 from repro.bench.executor import SweepExecutor
 from repro.faults import (
     FaultPlan,
     HostFault,
     LinkFault,
-    active_fingerprint,
     get_preset,
     injecting,
 )
@@ -73,11 +75,11 @@ class TestEmptyPlanIsNoop:
 
     def test_empty_plan_shares_cache_entries(self, tmp_path):
         """No-plan and empty-plan runs must address the same cache
-        entries — the key's ``faults`` field is None for both."""
+        entries — the run context's ``faults`` is None for both."""
         cache = ResultCache(str(tmp_path))
         base = cache.key("4a", "fig4a_size", {"size": 4})
         with injecting(FaultPlan.empty()):
-            assert active_fingerprint() is None
+            assert RunContext.current().faults is None
             assert cache.key("4a", "fig4a_size", {"size": 4}) == base
 
     def test_nonempty_plan_partitions_the_cache(self, tmp_path):
@@ -85,12 +87,15 @@ class TestEmptyPlanIsNoop:
         base = cache.key("4a", "fig4a_size", {"size": 4})
         plan = get_preset("chaos-fig11")
         with injecting(plan):
-            assert active_fingerprint() == plan.fingerprint()
+            assert RunContext.current().faults is plan
             keyed = cache.key("4a", "fig4a_size", {"size": 4})
             assert keyed != base
             assert cache.key("4a", "fig4a_size", {"size": 4}) == keyed
+        # A plan's display name does not partition the key.
+        with injecting(dataclasses.replace(plan, name="renamed")):
+            assert cache.key("4a", "fig4a_size", {"size": 4}) == keyed
         # The context manager restores fault-free keying on exit.
-        assert active_fingerprint() is None
+        assert RunContext.current().faults is None
         assert cache.key("4a", "fig4a_size", {"size": 4}) == base
 
 

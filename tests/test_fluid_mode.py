@@ -56,17 +56,6 @@ class TestOneShotCollapse:
         assert ev_fluid < ev_packet
         assert ev_packet / ev_fluid >= min_ratio
 
-    @pytest.mark.parametrize("protocol", ["tcp", "socketvia"])
-    def test_auto_is_fluid(self, protocol):
-        results = {}
-        for mode in ("fluid", "auto"):
-            with simulation_mode(mode):
-                results[mode] = _run_counted(
-                    lambda: _one_shot_transfer(protocol, BULK))
-        # Same time AND same event count: auto is not merely close to
-        # fluid, it takes the identical execution path.
-        assert results["auto"] == results["fluid"]
-
     def test_below_gate_size_is_untouched(self):
         # 16 KB is under every eligibility threshold, so fluid mode
         # must replay the packet execution event for event.

@@ -7,16 +7,12 @@ import random
 import pytest
 
 from repro.apps.tails import DEFAULT_HEDGE_US, TailsConfig, run_tails
-from repro.bench.cache import ResultCache
 from repro.cluster.topology import Cluster
 from repro.datacutter.runtime import ReplicaSet, UnitOfWork
 from repro.datacutter.scheduling import (
     DemandDrivenScheduler,
     ReplicationPolicy,
-    active_replication_fingerprint,
-    active_replication_policy,
     make_scheduler,
-    replicating,
 )
 from repro.errors import ConnectionRefused, DataCutterError
 from repro.sim import Simulator
@@ -30,14 +26,14 @@ def sim():
 
 
 # ---------------------------------------------------------------------------
-# ReplicationPolicy: validation, canonical form, ambient installation
+# ReplicationPolicy: defaults and validation
 # ---------------------------------------------------------------------------
 
 
 class TestReplicationPolicy:
     def test_defaults_unreplicated(self):
         p = ReplicationPolicy()
-        assert (p.k, p.cancel, p.hedge_us) == (1, "lazy", None)
+        assert (p.k, p.cancel, p.hedge_us) == (1, "lazy", 0.0)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_k_must_be_positive(self, bad):
@@ -51,38 +47,6 @@ class TestReplicationPolicy:
     def test_hedge_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="hedge_us must be >= 0"):
             ReplicationPolicy(hedge_us=-1.0)
-
-    def test_dict_roundtrip(self):
-        p = ReplicationPolicy(k=3, cancel="none", hedge_us=150.0)
-        assert ReplicationPolicy.from_dict(p.to_dict()) == p
-        q = ReplicationPolicy(k=2)
-        assert ReplicationPolicy.from_dict(q.to_dict()) == q
-
-    def test_fingerprint_stable_and_distinct(self):
-        a = ReplicationPolicy(k=2, hedge_us=100.0)
-        assert a.fingerprint() == ReplicationPolicy(k=2, hedge_us=100.0).fingerprint()
-        assert a.fingerprint() != ReplicationPolicy(k=3, hedge_us=100.0).fingerprint()
-        assert a.fingerprint() != ReplicationPolicy(k=2, cancel="none",
-                                                    hedge_us=100.0).fingerprint()
-
-    def test_replicating_installs_and_restores(self):
-        assert active_replication_policy() is None
-        assert active_replication_fingerprint() is None
-        p = ReplicationPolicy(k=2)
-        with replicating(p):
-            assert active_replication_policy() is p
-            assert active_replication_fingerprint() == p.fingerprint()
-            inner = ReplicationPolicy(k=4)
-            with replicating(inner):
-                assert active_replication_policy() is inner
-            assert active_replication_policy() is p
-        assert active_replication_policy() is None
-
-    def test_replicating_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with replicating(ReplicationPolicy(k=2)):
-                raise RuntimeError("boom")
-        assert active_replication_policy() is None
 
 
 # ---------------------------------------------------------------------------
@@ -528,49 +492,6 @@ class TestRunTails:
         assert r.dispatched == 20  # 2 distinct copies per query
         assert r.conservation_ok
 
-    def test_ambient_policy_fills_unset_knobs(self):
-        with replicating(ReplicationPolicy(k=2, cancel="none",
-                                           hedge_us=0.0)):
-            cfg = TailsConfig(**self.QUICK)
-            p = cfg.resolved_policy()
-        assert (p.k, p.cancel, p.hedge_us) == (2, "none", 0.0)
-
-    def test_explicit_knobs_beat_ambient(self):
-        with replicating(ReplicationPolicy(k=3, hedge_us=500.0)):
-            p = TailsConfig(k=1, **self.QUICK).resolved_policy()
-        assert p.k == 1
-        assert p.hedge_us == 500.0  # unset knob still ambient
-
     def test_default_policy_without_ambient(self):
         p = TailsConfig(**self.QUICK).resolved_policy()
         assert (p.k, p.cancel, p.hedge_us) == (1, "lazy", DEFAULT_HEDGE_US)
-
-
-# ---------------------------------------------------------------------------
-# cache partitioning on the ambient policy
-# ---------------------------------------------------------------------------
-
-
-class TestCachePartitioning:
-    def test_key_changes_under_replicating(self, tmp_path):
-        cache = ResultCache(directory=str(tmp_path))
-        base = cache.key("tls", "tails_cell", {"k": 1})
-        with replicating(ReplicationPolicy(k=2)):
-            rep = cache.key("tls", "tails_cell", {"k": 1})
-        assert rep != base
-        assert cache.key("tls", "tails_cell", {"k": 1}) == base
-
-    def test_execute_point_reinstalls_shipped_policy(self, monkeypatch):
-        from repro.bench import figures
-        from repro.bench.executor import execute_point
-
-        def probe():
-            return {"fp": active_replication_fingerprint()}
-
-        monkeypatch.setitem(figures.POINT_FNS, "rep_probe", probe)
-        policy = ReplicationPolicy(k=3, hedge_us=250.0)
-        out = execute_point(("t", "rep_probe", {}, None, "packet", None,
-                             policy.to_dict()))
-        assert out["value"]["fp"] == policy.fingerprint()
-        bare = execute_point(("t", "rep_probe", {}))
-        assert bare["value"]["fp"] is None

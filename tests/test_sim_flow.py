@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan, HostFault, injecting
+from repro.sim import flow
 from repro.sim.core import Simulator
 from repro.sim.flow import (
     MODES,
@@ -13,7 +14,6 @@ from repro.sim.flow import (
     effective_sim_mode,
     fluid_active,
     resolve_sim_mode,
-    set_sim_mode,
     simulation_mode,
     solve_pipeline,
 )
@@ -23,9 +23,7 @@ from repro.sim.flow import (
 def _clean_mode(monkeypatch):
     """Every test starts from the packet default: no override, no env."""
     monkeypatch.delenv("REPRO_SIM_MODE", raising=False)
-    set_sim_mode(None)
-    yield
-    set_sim_mode(None)
+    monkeypatch.setattr(flow, "_mode_override", None)
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +39,13 @@ class TestModeResolution:
 
     def test_explicit_beats_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_MODE", "fluid")
-        set_sim_mode("auto")
-        assert resolve_sim_mode("packet") == "packet"
+        with simulation_mode("fluid"):
+            assert resolve_sim_mode("packet") == "packet"
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_MODE", "fluid")
-        set_sim_mode("packet")
-        assert resolve_sim_mode() == "packet"
+        with simulation_mode("packet"):
+            assert resolve_sim_mode() == "packet"
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_MODE", "fluid")
@@ -62,10 +60,12 @@ class TestModeResolution:
         with pytest.raises(ValueError, match="unknown simulation mode"):
             resolve_sim_mode("quantum")
         with pytest.raises(ValueError, match="unknown simulation mode"):
-            set_sim_mode("quantum")
-        monkeypatch.setenv("REPRO_SIM_MODE", "quantum")
-        with pytest.raises(ValueError, match="unknown simulation mode"):
-            resolve_sim_mode()
+            with simulation_mode("quantum"):
+                pass
+        for env in ("quantum", "auto"):
+            monkeypatch.setenv("REPRO_SIM_MODE", env)
+            with pytest.raises(ValueError, match="unknown simulation mode"):
+                resolve_sim_mode()
 
     def test_context_manager_nests_and_restores(self):
         with simulation_mode("fluid"):
@@ -76,8 +76,7 @@ class TestModeResolution:
         assert resolve_sim_mode() == "packet"
 
     def test_context_manager_none_leaves_ambient(self):
-        set_sim_mode("fluid")
-        with simulation_mode(None):
+        with simulation_mode("fluid"), simulation_mode(None):
             assert resolve_sim_mode() == "fluid"
 
     def test_context_manager_restores_on_error(self):
@@ -85,11 +84,6 @@ class TestModeResolution:
             with simulation_mode("fluid"):
                 raise RuntimeError("boom")
         assert resolve_sim_mode() == "packet"
-
-    def test_auto_behaves_like_fluid(self):
-        with simulation_mode("auto"):
-            assert fluid_active()
-            assert effective_sim_mode() == "fluid"
 
 
 class TestFaultGating:

@@ -5,7 +5,7 @@ What a cache hit *costs* is the placement contract (docs/CACHING.md):
 client hits are local, edge hits pay one LAN store-and-forward hop,
 storage hits still cross the WAN but skip the read penalty.  These
 tests pin that ordering, the exact hit/miss accounting at every
-temperature, determinism, and the ambient-config fill-in.
+temperature, determinism, and the config defaults.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.apps.wancache import (
     run_wan_bulk,
     run_wan_queries,
 )
-from repro.cache import CacheConfig, configured
+from repro.cache import CacheConfig
 from repro.cluster.topology import wan_topology
 from repro.errors import TopologyError
 
@@ -94,27 +94,14 @@ class TestDeterminism:
 
 
 class TestAmbientConfig:
-    def test_none_fields_fill_from_ambient(self):
-        ambient = CacheConfig(placement="client", eviction="clock",
-                              capacity_blocks=16, stripe_width=4)
-        with configured(ambient):
-            resolved = WanCacheConfig().resolved_cache()
-        assert resolved == ambient
-
-    def test_explicit_fields_override_ambient(self):
-        with configured(CacheConfig(placement="client", stripe_width=4)):
-            resolved = WanCacheConfig(placement="storage",
-                                      stripe_width=2).resolved_cache()
-        assert resolved.placement == "storage"
-        assert resolved.stripe_width == 2
-        assert resolved.eviction == "lru"
+    """The cache knobs are plain config fields; nothing ambient
+    fills them in."""
 
     def test_no_ambient_uses_defaults(self):
         assert WanCacheConfig().resolved_cache() == CacheConfig()
 
     def test_ambient_drives_the_run(self):
-        with configured(CacheConfig(placement="client")):
-            r = queries(temperature="hot")
+        r = queries(temperature="hot", placement="client")
         assert r.cache_config.placement == "client"
         assert r.hit_rate == 1.0
 
