@@ -238,14 +238,12 @@ class VizServerApp:
             shared.completions[tq.query.query_id] = done
             shared.submit_times[tq.query.query_id] = sim.now
             for q in shared.repo_queues:
-                ev = q.put((tq.query, sim.now))
-                ev.defused = True
+                q.put_nowait((tq.query, sim.now))
             prev_done = done
         if shared.config.closed_loop and prev_done is not None:
             yield prev_done
         for q in shared.repo_queues:
-            ev = q.put(None)
-            ev.defused = True
+            q.put_nowait(None)
 
     # -- run -------------------------------------------------------------------------
 

@@ -374,13 +374,11 @@ def run_wan_queries(config: WanCacheConfig,
             done = sim.event()
             shared.completions[q] = done
             submitted = sim.now
-            ev = shared.queries.put((q, config.query_blocks(q), submitted))
-            ev.defused = True
+            shared.queries.put_nowait((q, config.query_blocks(q), submitted))
             yield done
             latencies.append(sim.now - submitted)
         results["elapsed"] = sim.now - t0
-        ev = shared.queries.put(None)
-        ev.defused = True
+        shared.queries.put_nowait(None)
 
     def main():
         yield from app.start()

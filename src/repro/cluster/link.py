@@ -239,7 +239,7 @@ class LinkDirection:
         ev.add_callback(self._on_transmitted)
 
     def _on_transmitted(self, event) -> None:
-        tx: Transmission = event.value
+        tx: Transmission = event._value
         self.busy_time += tx.service_time
         self.bytes_carried += tx.size
         self.tx_count += 1
@@ -349,8 +349,7 @@ class Port:
         if self._consumer is not None:
             self._consumer(tx)
         else:
-            ev = self.inbox.put(tx)
-            ev.defused = True
+            self.inbox.put_nowait(tx)
         if tx.on_delivered is not None:
             tx.on_delivered(tx)
 

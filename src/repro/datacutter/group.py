@@ -10,9 +10,8 @@ data flow, Section 2), filters with no role, duplicate names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.errors import FilterGraphError, PlacementError
 
@@ -134,19 +133,36 @@ class FilterGroup:
 
     # -- validation ----------------------------------------------------------------------
 
+    def topological_order(self) -> List[str]:
+        """Filter names in a topological order of the stream graph.
+
+        Deterministic: filters enter in declaration order, then each
+        distinct ``(producer, consumer)`` pair in stream order.  Raises
+        :class:`FilterGraphError` naming a cycle if the streams form one.
+        """
+        sorter = TopologicalSorter()
+        for name in self.filters:
+            sorter.add(name)
+        for producer, consumer in dict.fromkeys(
+            (s.producer, s.consumer) for s in self.streams
+        ):
+            sorter.add(consumer, producer)
+        try:
+            return list(sorter.static_order())
+        except CycleError as exc:
+            raise FilterGraphError(
+                f"filter graph has a cycle: {exc.args[1]}"
+            ) from None
+
     def validate(self) -> None:
         """Raise :class:`FilterGraphError` on structural problems."""
         if not self.filters:
             raise FilterGraphError("empty filter group")
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.filters)
-        for s in self.streams:
-            graph.add_edge(s.producer, s.consumer, name=s.name)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise FilterGraphError(f"filter graph has a cycle: {cycle}")
+        self.topological_order()
         if len(self.filters) > 1:
-            isolated = [n for n in graph.nodes if graph.degree(n) == 0]
+            connected = {s.producer for s in self.streams}
+            connected.update(s.consumer for s in self.streams)
+            isolated = [n for n in self.filters if n not in connected]
             if isolated:
                 raise FilterGraphError(
                     f"filters not connected to any stream: {isolated}"

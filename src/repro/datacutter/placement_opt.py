@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
 from repro.datacutter.group import FilterGroup, Placement
 from repro.errors import PlacementError
 from repro.net.model import ProtocolCostModel
@@ -120,15 +118,9 @@ def plan_placement(
     compute_ns = compute_ns or {}
     stream_rates = stream_rates or {}
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(group.filters)
-    for s in group.streams:
-        graph.add_edge(s.producer, s.consumer)
-    order = list(nx.topological_sort(graph))
-
     loads: Dict[str, float] = {h: 0.0 for h in hosts}
     placement = Placement()
-    for fname in order:
+    for fname in group.topological_order():
         spec = group.filters[fname]
         if spec.copies > len(hosts):
             raise PlacementError(

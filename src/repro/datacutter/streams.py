@@ -147,11 +147,9 @@ class InputPort:
             except SocketClosedError:
                 return
             if msg.kind == "data":
-                ev = self._merged.put(("data", msg.payload, sock))
-                ev.defused = True
+                self._merged.put_nowait(("data", msg.payload, sock))
             elif msg.kind == "eow":
-                ev = self._merged.put(("eow", msg.payload, sock))
-                ev.defused = True
+                self._merged.put_nowait(("eow", msg.payload, sock))
             # acks never arrive here (they flow producer-ward)
 
     def read(self) -> Generator[Event, Any, Optional[DataBuffer]]:

@@ -112,8 +112,6 @@ class Simulator:
         #: Pending ``(time, priority, seq, event)`` entries in heap order.
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        #: The process currently being resumed, if any (for diagnostics).
-        self._active_process: Optional[Process] = None
         self._trace_hooks: List[Any] = []
         #: Cancelled-but-unpopped entries currently on the heap.
         self._tombstones = 0

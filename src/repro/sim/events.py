@@ -26,6 +26,7 @@ a correct model.
 from __future__ import annotations
 
 import sys
+from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import EventLifecycleError
@@ -190,7 +191,14 @@ class Event:
             raise EventLifecycleError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim.schedule(self)
+        # Inlined ``sim.schedule(self)``: the delay is the constant 0, so
+        # its range and NaN checks cannot fire.  Same (now, NORMAL, seq)
+        # entry, one call fewer on the hottest trigger in the library.
+        sim = self.sim
+        seq = sim._seq
+        heappush(sim._heap, (sim._now, 1, seq, self))
+        self._gen = seq
+        sim._seq = seq + 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":

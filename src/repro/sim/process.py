@@ -115,59 +115,55 @@ class Process(Event):
         Loops over events that are already processed so a process can chew
         through a chain of completed waits without re-entering the kernel.
         """
-        self.sim._active_process = self
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        next_target = self._send(event._value)
-                    else:
-                        # The process observes the failure; mark it defused
-                        # so an uncaught failure surfaces *here*, in the
-                        # process, not in the kernel loop.
-                        event.defused = True
-                        next_target = self._throw(event._value)
-                except StopIteration as stop:
-                    self._target = None
-                    self.succeed(stop.value)
-                    return
-                except BaseException as exc:
-                    self._target = None
-                    # Re-attach a traceback-bearing failure to this process.
-                    self.fail(exc)
-                    return
-
-                if not isinstance(next_target, Event):
-                    err = ProcessError(
-                        f"process {self.name!r} yielded non-event "
-                        f"{next_target!r}"
-                    )
-                    self._target = None
-                    self.fail(err)
-                    return
-                if next_target.sim is not self.sim:
-                    err = ProcessError(
-                        f"process {self.name!r} yielded an event from a "
-                        f"different simulator"
-                    )
-                    self._target = None
-                    self.fail(err)
-                    return
-
-                cbs = next_target.callbacks
-                if cbs is _PROCESSED_MARK:
-                    # Already done: resume synchronously with its outcome.
-                    event = next_target
-                    continue
-                if cbs is None:
-                    # Single-waiter fast path: no list, no method call.
-                    next_target.callbacks = self._resume_cb
+        while True:
+            try:
+                if event._ok:
+                    next_target = self._send(event._value)
                 else:
-                    next_target.add_callback(self._resume_cb)
-                self._target = next_target
+                    # The process observes the failure; mark it defused
+                    # so an uncaught failure surfaces *here*, in the
+                    # process, not in the kernel loop.
+                    event.defused = True
+                    next_target = self._throw(event._value)
+            except StopIteration as stop:
+                self._target = None
+                self.succeed(stop.value)
                 return
-        finally:
-            self.sim._active_process = None
+            except BaseException as exc:
+                self._target = None
+                # Re-attach a traceback-bearing failure to this process.
+                self.fail(exc)
+                return
+
+            if not isinstance(next_target, Event):
+                err = ProcessError(
+                    f"process {self.name!r} yielded non-event "
+                    f"{next_target!r}"
+                )
+                self._target = None
+                self.fail(err)
+                return
+            if next_target.sim is not self.sim:
+                err = ProcessError(
+                    f"process {self.name!r} yielded an event from a "
+                    f"different simulator"
+                )
+                self._target = None
+                self.fail(err)
+                return
+
+            cbs = next_target.callbacks
+            if cbs is _PROCESSED_MARK:
+                # Already done: resume synchronously with its outcome.
+                event = next_target
+                continue
+            if cbs is None:
+                # Single-waiter fast path: no list, no method call.
+                next_target.callbacks = self._resume_cb
+            else:
+                next_target.add_callback(self._resume_cb)
+            self._target = next_target
+            return
 
     # -- interrupts -----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Any, Deque, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _UNSET, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -44,7 +44,14 @@ class Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.sim)
+        # Event's slots are set here directly, with no super() chain: one
+        # request is built per CPU charge, send mutex and port claim.
+        self.sim = resource.sim
+        self.callbacks = None
+        self._value = _UNSET
+        self._ok = None
+        self.defused = False
+        self._cancelled = False
         self.resource = resource
         self.priority = priority
 
@@ -117,8 +124,10 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; the returned event fires when granted."""
         req = Request(self, priority)
-        if len(self._users) < self.capacity and not self._queue:
-            self._grant(req)
+        users = self._users
+        if len(users) < self.capacity and not self._queue:
+            users.append(req)
+            req.succeed(req)
         else:
             self._enqueue(req)
         return req
@@ -131,7 +140,8 @@ class Resource:
             raise SimulationError(
                 f"release() of a request not holding {self.name or 'resource'}"
             ) from None
-        self._grant_next()
+        if self._queue:
+            self._grant_next()
 
     def use(self, duration: float, priority: int = 0) -> Generator[Event, Any, None]:
         """Convenience: acquire, hold for *duration*, release.
@@ -177,16 +187,14 @@ class Resource:
 
     # -- internals -------------------------------------------------------------------
 
-    def _grant(self, request: Request) -> None:
-        self._users.append(request)
-        request.succeed(request)
-
     def _grant_next(self) -> None:
-        while len(self._users) < self.capacity:
+        users = self._users
+        while len(users) < self.capacity:
             nxt = self._dequeue()
             if nxt is None:
                 return
-            self._grant(nxt)
+            users.append(nxt)
+            nxt.succeed(nxt)
 
     def _cancel(self, request: Request) -> None:
         if self._remove_from_queue(request):
@@ -204,36 +212,30 @@ class Resource:
 class PriorityResource(Resource):
     """A :class:`Resource` whose queue is ordered by ``priority`` (low first).
 
-    Ties break FIFO via a monotone sequence number.
+    Ties break FIFO via a monotone sequence number.  The wait queue is a
+    ``(priority, seq, request)`` heap kept in ``_queue``, so the base
+    class's emptiness and length tests serve both classes.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         super().__init__(sim, capacity, name)
-        self._pqueue: List[Tuple[int, int, Request]] = []
+        self._queue: List[Tuple[int, int, Request]] = []
         self._pseq = 0
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
     def _enqueue(self, request: Request) -> None:
-        heapq.heappush(self._pqueue, (request.priority, self._pseq, request))
+        heapq.heappush(self._queue, (request.priority, self._pseq, request))
         self._pseq += 1
 
     def _dequeue(self) -> Optional[Request]:
-        while self._pqueue:
-            _, _, req = heapq.heappop(self._pqueue)
-            if req is not None:
-                return req
-        return None
+        return heapq.heappop(self._queue)[2] if self._queue else None
 
     def _remove_from_queue(self, request: Request) -> bool:
-        for i, (prio, seq, req) in enumerate(self._pqueue):
-            if req is request:
-                # Lazy deletion would complicate queue_length; rebuild instead
-                # (queues here are short: per-core or per-port).
-                del self._pqueue[i]
-                heapq.heapify(self._pqueue)
+        for i, entry in enumerate(self._queue):
+            if entry[2] is request:
+                # Rebuild rather than tombstone (queues here are short:
+                # per-core or per-port).
+                del self._queue[i]
+                heapq.heapify(self._queue)
                 return True
         return False
 
@@ -245,6 +247,10 @@ class Store:
     (immediately if there is space); ``get()`` returns an event that fires
     with the next item.  This is the backbone of every queue in the stack:
     socket buffers, VIA descriptor rings, DataCutter streams.
+
+    A producer that would discard ``put``'s acknowledgement calls
+    :meth:`put_nowait` instead: the item is accepted at once and no
+    acknowledgement event is scheduled.
     """
 
     def __init__(
@@ -292,33 +298,65 @@ class Store:
         self._settle()
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Accept *item* at once without scheduling an acknowledgement.
+
+        The item goes straight to the oldest waiting getter, whose wake-up
+        is the only event scheduled, or into the buffer.  Raises
+        :class:`SimulationError` if the store cannot accept now (full, or
+        putters already queued): the callers write to unbounded stores or
+        return conserved units, so a refusal is a conservation bug.
+        """
+        if self._putters or len(self._items) >= self.capacity:
+            raise SimulationError(
+                f"put_nowait() refused by store {self.name!r}: "
+                f"{len(self._items)}/{self.capacity} items, "
+                f"{len(self._putters)} putter(s) queued"
+            )
+        getters = self._getters
+        if getters:
+            getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
+
     def try_put(self, item: Any) -> bool:
-        """Non-blocking put: True if accepted immediately."""
-        if len(self._items) < self.capacity or self._getters:
-            ev = self.put(item)
-            assert ev.triggered
-            ev.defused = True
-            return True
-        return False
+        """Non-blocking put: True if accepted immediately.
+
+        Like :meth:`put_nowait` it schedules no acknowledgement; a refusal
+        returns False instead of raising.
+        """
+        if self._putters or len(self._items) >= self.capacity:
+            return False
+        self.put_nowait(item)
+        return True
 
     def get(self) -> Event:
         """Take the next item; the event fires with it as value."""
         ev = self.sim.event()
-        self._getters.append(ev)
-        self._settle()
+        items = self._items
+        if items:
+            # No getter can be waiting while items are buffered: hand the
+            # head over directly, refilling from a blocked putter if any.
+            ev.succeed(items.popleft())
+            if self._putters:
+                self._settle()
+        else:
+            self._getters.append(ev)
         return ev
 
     def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items or self._putters:
-            ev = self.get()
-            if ev.triggered:
-                ev.defused = True
-                return True, ev._value
-            # No item materialized (shouldn't happen); withdraw.
-            self._getters.remove(ev)
+        """Non-blocking get: ``(True, item)`` or ``(False, None)``.
+
+        Schedules no event for the taker; a blocked putter that the freed
+        slot admits is still woken.
+        """
+        items = self._items
+        if not items:
             return False, None
-        return False, None
+        item = items.popleft()
+        if self._putters:
+            self._settle()
+        return True, item
 
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending get (e.g. after an interrupt)."""
@@ -363,6 +401,7 @@ class Container:
     units (blocking only if a finite capacity would overflow).  Waiters are
     served FIFO, and a large ``get`` at the head of the queue blocks later
     small ones — the conservative discipline credit protocols need.
+    ``put_nowait(n)`` returns units without an acknowledgement event.
     """
 
     def __init__(
@@ -392,9 +431,18 @@ class Container:
         """Take *amount* units, blocking until available."""
         if amount <= 0:
             raise ValueError("amount must be positive")
+        if amount > self.capacity:
+            # Could never be satisfied, and would block every getter
+            # queued behind it.
+            raise ValueError("amount exceeds container capacity")
         ev = self.sim.event()
-        self._getters.append((ev, amount))
-        self._settle()
+        if not self._getters and amount <= self._level:
+            self._level -= amount
+            ev.succeed()
+            if self._putters:
+                self._settle()
+        else:
+            self._getters.append((ev, amount))
         return ev
 
     def put(self, amount: float = 1) -> Event:
@@ -407,6 +455,30 @@ class Container:
         self._putters.append((ev, amount))
         self._settle()
         return ev
+
+    def put_nowait(self, amount: float = 1) -> None:
+        """Return *amount* units at once without scheduling an acknowledgement.
+
+        Waiting getters that the units satisfy are woken as by :meth:`put`.
+        Raises :class:`SimulationError` if the units do not fit now
+        (``level + amount > capacity``, or putters already queued): the
+        callers return conserved credits or window bytes, so a refusal is
+        a conservation bug.
+        """
+        if amount <= 0:
+            raise ValueError("amount must be positive")
+        level = self._level + amount
+        if level > self.capacity or self._putters:
+            if amount > self.capacity:
+                raise ValueError("amount exceeds container capacity")
+            raise SimulationError(
+                f"put_nowait({amount}) refused by container {self.name!r}: "
+                f"level {self._level}/{self.capacity}, "
+                f"{len(self._putters)} putter(s) queued"
+            )
+        self._level = level
+        if self._getters:
+            self._settle()
 
     def _settle(self) -> None:
         progressed = True

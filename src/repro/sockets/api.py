@@ -252,12 +252,10 @@ class BaseSocket:
         if fn is not None:
             fn(message.kind, message.payload, message.size)
             return
-        ev = self._rx_messages.put(message)
-        ev.defused = True
+        self._rx_messages.put_nowait(message)
 
     def _deliver_eof(self) -> None:
-        ev = self._rx_messages.put(None)
-        ev.defused = True
+        self._rx_messages.put_nowait(None)
 
     def _check_open(self) -> None:
         if self.closed:
@@ -303,8 +301,7 @@ class ListenerSocket:
             self.stack._unbind(self.address)
 
     def _enqueue(self, sock: BaseSocket) -> None:
-        ev = self._pending.put(sock)
-        ev.defused = True
+        self._pending.put_nowait(sock)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ListenerSocket {self.address}>"

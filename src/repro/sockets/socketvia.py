@@ -153,8 +153,7 @@ class SocketViaSocket(BaseSocket):
             vi.post_recv(rdesc)
             # Send pool: recycled through the send completion queue.
             sdesc = Descriptor(memory=stack.nic.memory.register_now(buf))
-            ok = self._send_pool.try_put(sdesc)
-            assert ok
+            self._send_pool.put_nowait(sdesc)
         self._rx_loop_proc = self.sim.process(
             self._rx_loop(), name=f"{stack.host.name}.sv.rx.{vi.vi_id}"
         )
@@ -426,8 +425,7 @@ class SocketViaSocket(BaseSocket):
                 # fragment pool; drop them like the RDMA ones.
                 continue
             desc.reset()
-            ev = self._send_pool.put(desc)
-            ev.defused = True
+            self._send_pool.put_nowait(desc)
 
     # -- receive ----------------------------------------------------------------------
 
@@ -595,8 +593,7 @@ class SocketViaStack(StackBase):
         sock = self._endpoints.get(frame.dst_vi)
         if sock is None:
             return
-        ev = sock._credits.put(frame.count)
-        ev.defused = True
+        sock._credits.put_nowait(frame.count)
 
     # -- close ------------------------------------------------------------------------------
 

@@ -357,8 +357,7 @@ class TcpStack(StackBase):
             return
         peer = self._peer_endpoint(peer_host, peer_ep)
         if peer is not None:
-            ev = peer._window.put(amount)
-            ev.defused = True
+            peer._window.put_nowait(amount)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TcpStack host={self.host.name!r} eps={len(self._endpoints)}>"

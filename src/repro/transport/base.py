@@ -403,8 +403,7 @@ class StackBase:
         if faults is not None and faults.down:
             faults.defer(self._enqueue_rx, item)
             return
-        ev = self._rx_q.put(item)
-        ev.defused = True
+        self._rx_q.put_nowait(item)
 
     def _rx_daemon(self):
         """The stack's receive path, strictly serialized per host:

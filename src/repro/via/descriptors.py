@@ -91,8 +91,7 @@ class CompletionQueue:
     def _post(self, desc: Descriptor) -> None:
         desc.completed_at = self.sim.now
         self.completions += 1
-        ev = self._q.put(desc)
-        ev.defused = True
+        self._q.put_nowait(desc)
 
     def wait(self) -> Event:
         """Event firing with the next completed descriptor."""

@@ -465,8 +465,7 @@ class ViaNic:
         vi.state = VI_CONNECTED
         vi.peer_host = req.src_host
         vi.peer_vi = req.src_vi
-        ev = listener._pending.put(vi)
-        ev.defused = True
+        listener._pending.put_nowait(vi)
         self._transmit_ctrl(
             req.src_host,
             _ConnectReply(dst_vi=req.src_vi, src_host=self.host.name,

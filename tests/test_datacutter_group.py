@@ -76,6 +76,28 @@ class TestFilterGroupValidation:
         with pytest.raises(FilterGraphError, match="cycle"):
             g.validate()
 
+    def test_cycle_error_names_the_cycle(self):
+        g = FilterGroup("g")
+        for n in "ab":
+            g.add_filter(n, Dummy)
+        g.connect("s1", "a", "b")
+        g.connect("s2", "b", "a")
+        with pytest.raises(FilterGraphError, match=r"\['a', 'b', 'a'\]"):
+            g.topological_order()
+
+    def test_topological_order_diamond_with_duplicated_stream(self):
+        # A second stream between the same pair is one dependency: the
+        # order depends on the declaration order alone.
+        g = FilterGroup("g")
+        for n in ("src", "left", "right", "sink"):
+            g.add_filter(n, Dummy)
+        g.connect("a", "src", "left")
+        g.connect("b", "src", "right")
+        g.connect("a2", "src", "left")
+        g.connect("c", "left", "sink")
+        g.connect("d", "right", "sink")
+        assert g.topological_order() == ["src", "left", "right", "sink"]
+
     def test_isolated_filter_detected(self):
         g = linear_group()
         g.add_filter("lonely", Dummy)

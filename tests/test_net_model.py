@@ -150,8 +150,9 @@ class TestFitting:
             assert fitted.streaming_bandwidth(s) == pytest.approx(bw, rel=0.05)
 
     def test_simulation_import_path_leaves_scipy_unloaded(self):
-        """scipy is imported lazily by fit_cost_model only: a fresh
-        interpreter importing the scenario modules never loads it."""
+        """scipy is imported lazily by fit_cost_model only, and networkx
+        not at all: a fresh interpreter importing the scenario modules
+        loads neither."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -159,8 +160,9 @@ class TestFitting:
         probe = (
             "import sys\n"
             "import repro.apps.serve, repro.apps.tails, repro.sockets\n"
+            "import repro.datacutter\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n"
+            "             if m.split('.')[0] in ('scipy', 'networkx')))\n"
         )
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)

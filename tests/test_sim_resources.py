@@ -1,6 +1,8 @@
 """Unit tests for Resource / PriorityResource / Store / Container."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
@@ -342,6 +344,44 @@ class TestStore:
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
 
+    def test_put_nowait_try_put_try_get_schedule_nothing(self, sim):
+        store = Store(sim, capacity=3)
+        store.put_nowait("a")
+        assert store.try_put("b") is True
+        assert store.try_get() == (True, "a")
+        assert store.size == 1
+        assert sim.peek() == float("inf")
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_put_nowait_hands_item_to_waiting_getter(self, sim):
+        store = Store(sim, capacity=1)
+        g = store.get()
+        store.put_nowait("x")
+        assert g.triggered and store.size == 0
+        sim.run()
+        assert g.value == "x"
+        assert sim.events_processed == 1  # the getter's wake-up only
+
+    def test_put_nowait_on_full_store_raises(self, sim):
+        store = Store(sim, capacity=1, name="ring")
+        store.put_nowait("a")
+        with pytest.raises(SimulationError, match="ring"):
+            store.put_nowait("b")
+        assert store.try_put("b") is False
+        assert store.size == 1
+
+    def test_try_get_admits_blocked_putter(self, sim):
+        store = Store(sim, capacity=1, name="ring")
+        store.put("a")
+        blocked = store.put("b")
+        with pytest.raises(SimulationError, match="1 putter"):
+            store.put_nowait("c")
+        assert store.try_get() == (True, "a")
+        assert blocked.triggered and store.peek() == "b"
+        sim.run()
+        assert sim.events_processed == 2  # the two put acknowledgements
+
 
 class TestContainer:
     def test_initial_level(self, sim):
@@ -411,3 +451,133 @@ class TestContainer:
             c.get(0)
         with pytest.raises(ValueError):
             c.put(6)
+        with pytest.raises(ValueError):
+            c.put_nowait(0)
+        with pytest.raises(ValueError):
+            c.put_nowait(6)
+
+    def test_get_above_capacity_raises_instead_of_blocking_the_queue(self, sim):
+        # An unsatisfiable getter would wait at the head of the queue
+        # forever and starve every getter behind it.
+        c = Container(sim, capacity=4, init=4)
+        with pytest.raises(ValueError, match="capacity"):
+            c.get(5)
+        g = c.get(1)
+        assert g.triggered
+        sim.run()
+        assert c.level == 3
+
+    def test_put_nowait_schedules_nothing(self, sim):
+        c = Container(sim, capacity=5, init=0)
+        c.put_nowait(2)
+        assert c.level == 2
+        assert sim.peek() == float("inf")
+
+    def test_put_nowait_wakes_satisfied_getters(self, sim):
+        c = Container(sim, capacity=5, init=0)
+        g1, g2 = c.get(2), c.get(2)
+        c.put_nowait(3)
+        assert g1.triggered and not g2.triggered
+        assert c.level == 1
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_put_nowait_overflow_raises(self, sim):
+        c = Container(sim, capacity=4, init=4, name="credits")
+        with pytest.raises(SimulationError, match="credits"):
+            c.put_nowait(1)
+        assert c.level == 4
+
+    def test_put_nowait_behind_queued_putter_raises(self, sim):
+        # FIFO: units that would fit still may not overtake a queued putter.
+        c = Container(sim, capacity=5, init=4)
+        blocked = c.put(3)
+        with pytest.raises(SimulationError, match="putter"):
+            c.put_nowait(1)
+        assert not blocked.triggered and c.level == 4
+
+
+def _accepts_now(res, item):
+    """Would a put of *item* be accepted at once (no queued putter)?"""
+    if res._putters:
+        return False
+    if isinstance(res, Store):
+        return len(res._items) < res.capacity
+    return res.level + item <= res.capacity
+
+
+def _run_script(kind, capacity, init, script, nowait):
+    """Run *script* against a Store or Container and log what happened.
+
+    Each actor starts at its own time and runs its ops in order: waited
+    ``put``/``get``, a fire-and-forget ``ff`` put (issued only when the
+    resource accepts at once), or a ``wait``.  With *nowait* the
+    fire-and-forget puts use ``put_nowait``; otherwise ``put`` with the
+    acknowledgement ignored.
+    """
+    sim = Simulator()
+    if kind == "store":
+        res = Store(sim, capacity=capacity)
+    else:
+        res = Container(sim, capacity=capacity, init=init)
+    log = []
+    issued = 0
+
+    def actor(aid, start, ops):
+        nonlocal issued
+        yield sim.timeout(start)
+        for i, (op, n) in enumerate(ops):
+            item = (aid, i) if kind == "store" else n
+            if op == "put":
+                yield res.put(item)
+                log.append((sim.now, aid, "put", item))
+            elif op == "get":
+                got = yield (res.get() if kind == "store" else res.get(n))
+                log.append((sim.now, aid, "get", got if kind == "store" else n))
+            elif op == "ff":
+                if _accepts_now(res, item):
+                    if nowait:
+                        res.put_nowait(item)
+                    else:
+                        res.put(item)  # acknowledgement ignored
+                    issued += 1
+                    log.append((sim.now, aid, "ff", item))
+            else:
+                yield sim.timeout(n)
+
+    for aid, (start, ops) in enumerate(script):
+        sim.process(actor(aid, start, ops), name=f"actor{aid}")
+    sim.run()
+    state = list(res._items) if kind == "store" else res.level
+    return log, state, sim.events_processed, issued
+
+
+_op = st.tuples(st.sampled_from(["put", "get", "ff", "ff", "wait"]), st.integers(1, 3))
+_script = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(_op, max_size=8)), min_size=1, max_size=5
+)
+
+
+class TestPutNowaitEquivalence:
+    """``put_nowait`` is ``put`` minus its acknowledgement event: the same
+    run, in the same order, with one event fewer per fire-and-forget put."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["store", "container"]),
+        capacity=st.integers(3, 6),
+        init=st.integers(0, 6),
+        script=_script,
+    )
+    def test_same_log_one_event_fewer_per_put(self, kind, capacity, init, script):
+        if kind == "store":
+            capacity -= 2  # 1..4 items: full stores and queued putters
+        init = min(init, capacity)
+        acked = _run_script(kind, capacity, init, script, nowait=False)
+        bare = _run_script(kind, capacity, init, script, nowait=True)
+        log_a, state_a, events_a, issued_a = acked
+        log_b, state_b, events_b, issued_b = bare
+        assert log_b == log_a
+        assert state_b == state_a
+        assert issued_b == issued_a
+        assert events_a - events_b == issued_a
