@@ -7,11 +7,11 @@ the same ones ``python -m repro bench run fig02`` records.
 """
 
 from conftest import check_suite, run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
 def test_fig2_u1_u2_and_latency_steps(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["2"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("2").plan(quick))
     emit(table)
     anchors, claims = check_suite("fig02", {"2": table})
     assert len(anchors) == 5 and len(claims) == 3

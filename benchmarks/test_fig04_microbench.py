@@ -8,11 +8,11 @@ anchor/claim extractors (one implementation with
 """
 
 from conftest import check_suite, run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
-def test_fig4a_latency(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["4a"](quick))
+def test_fig4a_ping_pong_latency(benchmark, emit, quick, sweep):
+    table = run_once(benchmark, sweep.table, get_panel("4a").plan(quick))
     emit(table)
     anchors, claims = check_suite("fig04", {"4a": table})
     assert {a.key for a in anchors} == {
@@ -22,8 +22,8 @@ def test_fig4a_latency(benchmark, emit, quick, sweep):
     assert {c.key for c in claims} == {"latency_ordering", "latency_monotone"}
 
 
-def test_fig4b_bandwidth(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["4b"](quick))
+def test_fig4b_streaming_bandwidth(benchmark, emit, quick, sweep):
+    table = run_once(benchmark, sweep.table, get_panel("4b").plan(quick))
     emit(table)
     anchors, claims = check_suite("fig04", {"4b": table})
     assert {a.key for a in anchors} == {

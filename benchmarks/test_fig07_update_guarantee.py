@@ -7,7 +7,7 @@ high frame rates; improvements reach the paper's multiples.
 """
 
 from conftest import run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
 def _series(table):
@@ -19,7 +19,7 @@ def _series(table):
 
 
 def test_fig7a_no_computation(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["7a"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("7a").plan(quick))
     emit(table)
     tcp, sv, dr = _series(table)
     # TCP cannot meet the 4 updates/s guarantee; SocketVIA-DR can.
@@ -36,7 +36,7 @@ def test_fig7a_no_computation(benchmark, emit, quick, sweep):
 
 
 def test_fig7b_linear_computation(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["7b"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("7b").plan(quick))
     emit(table)
     tcp, sv, dr = _series(table)
     rates_col = table.column("updates_per_sec")

@@ -7,11 +7,11 @@ guarantee while SocketVIA stays near its peak rate.  8(b): with
 """
 
 from conftest import run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
 def test_fig8a_no_computation(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["8a"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("8a").plan(quick))
     emit(table)
     bounds_col = table.column("latency_us")
     tcp = table.column("TCP")
@@ -30,7 +30,7 @@ def test_fig8a_no_computation(benchmark, emit, quick, sweep):
 
 
 def test_fig8b_linear_computation(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["8b"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("8b").plan(quick))
     emit(table)
     tcp = table.column("TCP")
     dr = table.column("SocketVIA_DR")

@@ -7,7 +7,7 @@ budget SocketVIA tolerates a higher complete-update fraction.
 """
 
 from conftest import run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
 def _tolerated_fraction(table, column, budget_ms):
@@ -20,7 +20,7 @@ def _tolerated_fraction(table, column, budget_ms):
 
 
 def test_fig9a_no_computation(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["9a"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("9a").plan(quick))
     emit(table)
     # Unpartitioned: flat response regardless of the mix (every query
     # fetches the whole image).
@@ -41,7 +41,7 @@ def test_fig9a_no_computation(benchmark, emit, quick, sweep):
 
 
 def test_fig9b_linear_computation(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["9b"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("9b").plan(quick))
     emit(table)
     # Computation raises everything but preserves the ordering at the
     # complete-heavy end.

@@ -6,12 +6,12 @@ factor of heterogeneity.
 """
 
 from conftest import run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 from repro.net import PAPER_RESULTS
 
 
 def test_fig10_reaction_time(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["10"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("10").plan(quick))
     emit(table)
     sv = table.column("SocketVIA")
     tcp = table.column("TCP")

@@ -8,11 +8,11 @@ take advantage of pipelining and dynamic scheduling".
 
 from conftest import run_once
 from repro.bench import figures
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
 def test_fig11_execution_time(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["11"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("11").plan(quick))
     emit(table)
     factors = [2, 8] if quick else figures.FIG11_FACTORS
     # Execution time rises with the probability of being slow.

@@ -9,11 +9,11 @@ serves.
 """
 
 from conftest import check_suite, run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
-def test_serve_load_sweep(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["serve"](quick))
+def test_serve_capacity_vs_load(benchmark, emit, quick, sweep):
+    table = run_once(benchmark, sweep.table, get_panel("serve").plan(quick))
     emit(table)
     check_suite("serve", {"serve": table})
     rows = [dict(zip(table.columns, r)) for r in table.rows]
@@ -32,7 +32,7 @@ def test_serve_load_sweep(benchmark, emit, quick, sweep):
 
 
 def test_serve_scale_flatness(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["serve_scale"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("serve_scale").plan(quick))
     emit(table)
     check_suite("serve", {"serve_scale": table})
     # Wider cluster, proportionally more completions: the aggregate

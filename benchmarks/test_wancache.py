@@ -10,11 +10,11 @@ bit-identical at every width.
 """
 
 from conftest import check_suite, run_once
-from repro.bench.suites import PLANS
+from repro.bench.suites import get_panel
 
 
 def test_wancache_query_sweep(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["wcq"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("wcq").plan(quick))
     emit(table)
     check_suite("wancache", {"wcq": table})
     rows = [dict(zip(table.columns, r)) for r in table.rows]
@@ -28,7 +28,7 @@ def test_wancache_query_sweep(benchmark, emit, quick, sweep):
 
 
 def test_wancache_bulk_sweep(benchmark, emit, quick, sweep):
-    table = run_once(benchmark, sweep.table, PLANS["wcb"](quick))
+    table = run_once(benchmark, sweep.table, get_panel("wcb").plan(quick))
     emit(table)
     check_suite("wancache", {"wcb": table})
     rows = [dict(zip(table.columns, r)) for r in table.rows]

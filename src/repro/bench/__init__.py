@@ -2,11 +2,14 @@
 
 Submodules
 ----------
-``figures`` / ``microbench``
-    The experiment drivers — one function per paper figure, plus the
-    ``*_points()`` sweep decompositions the executor runs.
+``figures`` / ``microbench`` / ``*bench``
+    The experiments — a ``*_points()`` sweep decomposition per
+    figure panel, or a meta panel that times the host — and, next to
+    them, each module's suite declarations (panels, anchors, claims).
 ``suites``
-    What the harness runs and how a run is judged (anchors, claims).
+    The declaration types (``Panel``, ``Anchor``, ``Claim``,
+    ``BenchSuite``) and the loader: ``get_suite``, ``suite_names`` and
+    ``get_panel``.
 ``executor`` / ``cache``
     The point-sweep executor: serial or process-pool fan-out over pure
     figure points, with a content-addressed on-disk result cache.
@@ -33,12 +36,11 @@ from repro.bench.records import ExperimentTable, fmt, ratio
 from repro.bench.runner import TraceAggregator, run_experiment
 from repro.bench.schema import SCHEMA_VERSION, BenchRecord, SchemaError
 from repro.bench.suites import (
-    FIGURES,
-    PLANS,
-    SUITES,
     Anchor,
     BenchSuite,
     Claim,
+    Panel,
+    get_panel,
     get_suite,
     suite_names,
 )
@@ -53,10 +55,9 @@ __all__ = [
     "Anchor",
     "Claim",
     "BenchSuite",
-    "SUITES",
-    "FIGURES",
-    "PLANS",
+    "Panel",
     "get_suite",
+    "get_panel",
     "suite_names",
     "run_experiment",
     "TraceAggregator",

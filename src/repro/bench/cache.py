@@ -13,7 +13,7 @@ Key anatomy (SHA-256 over a canonical JSON document)::
     {
       "cache_schema": 2,          # bump to invalidate every entry
       "figure": "8a",             # panel the point belongs to
-      "fn": "fig8_rate",          # registry name of the point function
+      "fn": "repro.bench.figures.fig8_rate",  # point function's import path
       "params": {...},            # sort_keys canonical JSON kwargs
       "code": "<fingerprint>",    # hash over src/repro/**/*.py + git sha
       "context": {...}            # RunContext.current().fingerprint()

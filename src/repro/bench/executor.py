@@ -4,8 +4,9 @@ Every paper figure is a sweep of *independent* simulation points —
 message sizes, rate/latency guarantees, query mixes, slowdown factors.
 ``repro.bench.figures`` decomposes each figure into a list of pure
 :class:`Point` work items plus a deterministic merge
-(:class:`PointPlan`); this module executes those points through a
-pluggable backend:
+(:class:`PointPlan`); :meth:`PointPlan.run` executes one in this
+process, and this module's :class:`SweepExecutor` — the one cached and
+parallel path — executes points through a pluggable backend:
 
 * ``serial`` (``jobs=1``) — in the current process, the default;
 * ``process`` (``jobs>1``) — a ``concurrent.futures.ProcessPoolExecutor``
@@ -26,10 +27,10 @@ bit-for-bit at near-zero cost.
 ``jobs`` resolution: explicit argument > ``REPRO_JOBS`` env > 1;
 ``jobs=0`` means "one worker per CPU".
 
-:func:`sweep_benchmark` is the meta-suite behind
-``python -m repro bench run sweep``: it times the fig04+fig08 sweeps
-serial, parallel, and fully cached, and records the speedups (host
-wall-clock, gated warn-only by the comparator).
+:func:`sweep_benchmark` is the meta-panel of the ``sweep`` suite
+declared here (``python -m repro bench run sweep``): it times the
+fig04+fig08 sweeps serial, parallel, and fully cached, and records the
+speedups (host wall-clock, gated warn-only by the comparator).
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.cache import ResultCache, RunContext
 from repro.bench.records import ExperimentTable, ratio
+from repro.bench.suites import (
+    Anchor,
+    BenchSuite,
+    Claim,
+    Panel,
+    _cell,
+    _sweep_host_cpus,
+    get_suite,
+)
 
 __all__ = [
     "Point",
@@ -55,21 +65,28 @@ __all__ = [
     "sweep_benchmark",
     "SWEEP_SUITES",
     "SWEEP_JOBS",
+    "BENCH_SUITES",
 ]
 
 
 @dataclass(frozen=True)
 class Point:
-    """One pure unit of sweep work: ``POINT_FNS[fn](**params)``.
+    """One pure unit of sweep work: ``fn(**params)``.
 
-    ``params`` must be JSON-canonical (scalars, lists, dicts) — they
-    feed both the pickled process-pool task and the content-addressed
-    cache key.
+    ``fn`` is a module-level function, so it pickles by reference into
+    pool workers.  ``params`` must be JSON-canonical (scalars, lists,
+    dicts) — they feed both the pickled process-pool task and the
+    content-addressed cache key.
     """
 
     figure: str  # panel id the point belongs to ("4a", "8b", ...)
-    fn: str      # name in repro.bench.figures.POINT_FNS
+    fn: Callable[..., Any]
     params: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def fn_name(self) -> str:
+        """``fn``'s import path: the ``fn`` field of the cache key."""
+        return f"{self.fn.__module__}.{self.fn.__qualname__}"
 
 
 @dataclass
@@ -86,15 +103,20 @@ class PointResult:
 class PointPlan:
     """A figure decomposed: the points and how to merge their values.
 
-    ``merge`` receives the point values **in plan order** and must
-    rebuild the exact table the serial driver produces — the
-    parametrized determinism tests in ``tests/test_bench_executor.py``
-    hold every plan to that row-for-row contract.
+    ``merge`` receives the point values **in plan order**, so the table
+    is the same whatever ran the points — the parametrized determinism
+    tests in ``tests/test_bench_executor.py`` hold the process pool and
+    the cache to :meth:`run`'s table, row for row.
     """
 
     figure: str
     points: List[Point]
     merge: Callable[[List[Any]], ExperimentTable]
+
+    def run(self) -> ExperimentTable:
+        """Call every point's function in this process, in plan order,
+        under the ambient mode, fault plan and tracer; then merge."""
+        return self.merge([point.fn(**point.params) for point in self.points])
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -124,7 +146,6 @@ def execute_point(spec: Tuple) -> Dict[str, Any]:
     saw the parent's ambient state — run under the same mode and fault
     plan as the serial path, and as the cache key records.
     """
-    from repro.bench.figures import POINT_FNS
     from repro.bench.runner import TraceAggregator
     from repro.sim.core import global_events_processed
     from repro.sim.trace import Tracer, tracing
@@ -136,7 +157,7 @@ def execute_point(spec: Tuple) -> Dict[str, Any]:
     before = global_events_processed()
     with RunContext.from_dict(context).running(), \
             tracing(tracer, record=False):
-        value = POINT_FNS[fn](**params)
+        value = fn(**params)
     return {
         "value": json.loads(json.dumps(value)),
         "events": global_events_processed() - before,
@@ -215,7 +236,8 @@ class SweepExecutor:
         pending: List[int] = []
         for i, point in enumerate(points):
             if self.cache is not None:
-                key = self.cache.key(point.figure, point.fn, point.params)
+                key = self.cache.key(point.figure, point.fn_name,
+                                     point.params)
                 payload = self.cache.get(key)
                 if payload is not None:
                     results[i] = PointResult(
@@ -242,7 +264,7 @@ class SweepExecutor:
                     out["value"], out["events"], out["kinds"], cached=False)
                 if self.cache is not None:
                     point = points[i]
-                    self.cache.put(keys[i], point.figure, point.fn,
+                    self.cache.put(keys[i], point.figure, point.fn_name,
                                    dict(point.params), out["value"],
                                    out["events"], out["kinds"])
         return results  # type: ignore[return-value]
@@ -306,8 +328,6 @@ def sweep_benchmark(quick: bool = False, jobs: int = SWEEP_JOBS) -> ExperimentTa
     import tempfile
     import time
 
-    from repro.bench.suites import PLANS, get_suite
-
     table = ExperimentTable(
         "sweep",
         "Point-sweep executor wall clock: serial vs --jobs "
@@ -320,8 +340,7 @@ def sweep_benchmark(quick: bool = False, jobs: int = SWEEP_JOBS) -> ExperimentTa
     tot_serial = tot_par = tot_warm = 0.0
     all_identical = True
     for bench_id in SWEEP_SUITES:
-        suite = get_suite(bench_id)
-        plans = [PLANS[p](quick) for p in suite.panels]
+        plans = [panel.plan(quick) for panel in get_suite(bench_id).panels]
 
         cache_root = tempfile.mkdtemp(prefix="repro-sweep-cache-")
         try:
@@ -372,3 +391,73 @@ def sweep_benchmark(quick: bool = False, jobs: int = SWEEP_JOBS) -> ExperimentTa
         "speedup_parallel is bounded by the cores the host grants — "
         "regenerate on a >=4-core host for the parallelism headline")
     return table
+
+
+def _sweep_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    table = tables.get("sweep")
+    if table is None:
+        return []
+    anchors: List[Anchor] = []
+    for sweep_id in table.column("sweep"):
+        # Dotted keys: the comparator treats the tail after the last
+        # "." as the metric name, so every *_s / speedup_* anchor lands
+        # in its wall-metric (warn-only) set.
+        for col in ("serial_s", "parallel_s", "warm_s",
+                    "speedup_parallel", "speedup_cache"):
+            value = _cell(table, "sweep", sweep_id, col)
+            anchors.append(Anchor(
+                f"{sweep_id}.{col}",
+                f"{sweep_id} sweep {col} (host wall clock, warn-only)",
+                None if value is None else float(value),
+                group="sweep", unit="s" if col.endswith("_s") else "x"))
+    points = _cell(table, "sweep", "TOTAL", "points")
+    events = _cell(table, "sweep", "TOTAL", "events")
+    anchors += [
+        Anchor("sweep_total_points",
+               "points executed across the fig04+fig08 sweeps (deterministic)",
+               None if points is None else float(points),
+               group="sweep", unit="points"),
+        Anchor("sweep_total_events",
+               "simulation events those points consumed (deterministic)",
+               None if events is None else float(events),
+               group="sweep", unit="events"),
+    ]
+    return anchors
+
+
+def _sweep_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    table = tables.get("sweep")
+    if table is None:
+        return []
+    identical = all(v == "yes" for v in table.column("identical"))
+    hits = _cell(table, "sweep", "TOTAL", "warm_hits")
+    points = _cell(table, "sweep", "TOTAL", "points")
+    warm_speedup = _cell(table, "sweep", "TOTAL", "speedup_cache")
+    par_speedup = _cell(table, "sweep", "TOTAL", "speedup_parallel")
+    cpus = _sweep_host_cpus(table)
+    return [
+        Claim("sweeps_bit_identical",
+              "parallel and fully-cached tables bit-identical to serial, "
+              "every sweep", identical, "sweep"),
+        Claim("warm_hits_full",
+              "fully-cached rerun hit the cache on every point",
+              hits is not None and hits == points, "sweep"),
+        Claim("warm_rerun_10x",
+              "fully-cached rerun >= 10x faster than the cold serial run",
+              warm_speedup is not None and warm_speedup >= 10, "sweep"),
+        Claim("parallel_2x_when_cores_allow",
+              "--jobs 4 >= 2x faster than serial (vacuous on hosts with "
+              "fewer than 4 CPUs — parallelism is core-bound)",
+              (cpus is not None and cpus < 4)
+              or (par_speedup is not None and par_speedup >= 2), "sweep"),
+    ]
+
+
+#: The ``sweep`` suite (not a paper figure): gates the parallel/cached
+#: execution path every figure sweep runs on.
+BENCH_SUITES = (
+    BenchSuite("sweep", "Point-sweep executor: serial vs parallel vs "
+               "cached wall clock",
+               (Panel("sweep", "~2 min", run=sweep_benchmark),),
+               _sweep_anchors, _sweep_claims),
+)

@@ -1,28 +1,27 @@
-"""Per-figure experiment drivers.
+"""Per-figure experiments and the paper-figure suites.
 
-One function per table/figure in the paper's evaluation (Section 5),
-each returning an :class:`~repro.bench.records.ExperimentTable` whose
-rows/series mirror what the paper plots.  The benchmark suite under
-``benchmarks/`` calls these; so can users, directly::
+One ``*_points()`` function per table/figure in the paper's evaluation
+(Section 5).  Each figure is a sweep of *independent* simulation
+points, so the function returns a
+:class:`~repro.bench.executor.PointPlan`: a list of pure
+:class:`~repro.bench.executor.Point` work items (module-level point
+functions, which pickle by reference across a process pool and key a
+content-addressed result cache) plus a merge that assembles an
+:class:`~repro.bench.records.ExperimentTable` whose rows/series mirror
+what the paper plots.  The benchmark suite under ``benchmarks/`` runs
+these; so can users, directly::
 
     from repro.bench import figures
-    print(figures.fig4a_latency().render())
+    print(figures.fig4a_points().run().render())
 
-Every driver accepts scale parameters so CI can run a quick variant;
-the defaults regenerate the full figures.  All runs are deterministic.
+Every such function accepts scale parameters so CI can run a quick variant;
+the defaults regenerate the full figures.  All runs are deterministic:
+``tests/test_bench_executor.py`` holds the process pool and the cache
+to :meth:`~repro.bench.executor.PointPlan.run`'s table, bit for bit.
 
-Sweep decomposition
--------------------
-Each figure is a sweep of *independent* simulation points, so next to
-every serial driver lives a ``*_points()`` decomposition returning a
-:class:`~repro.bench.executor.PointPlan`: a list of pure
-:class:`~repro.bench.executor.Point` work items (the entries of
-:data:`POINT_FNS`, invoked by name so they pickle across a process
-pool and key a content-addressed result cache) plus a merge that
-reassembles the figure table **row-for-row identical** to the serial
-loop.  Table titles, columns, and notes are built by shared helpers so
-the two paths cannot drift; ``tests/test_bench_executor.py`` holds
-every plan to bit-identity against its serial driver.
+The module ends with its suite declarations (``fig02`` .. ``fig11``
+and ``chaos``): panels with their full and quick axes, plus the
+anchor and claim extractors that judge a run.
 """
 
 from __future__ import annotations
@@ -56,25 +55,12 @@ from repro.bench.microbench import (
     via_streaming_bandwidth,
 )
 from repro.bench.records import ExperimentTable, ratio
-from repro.bench.servebench import serve_cell, serve_scale_cell
-from repro.sim.partition import serve_shard_cell
-from repro.bench.tailsbench import tails_cell
-from repro.bench.wancachebench import wcb_cell, wcq_cell
+from repro.bench.suites import Anchor, BenchSuite, Claim, Panel, _cell
 from repro.cluster.hetero import RandomSlowdown, StaticSlowdown
 from repro.net.calibration import get_model
 from repro.sim.units import bytes_per_sec_to_mbps, to_usec, usec
 
 __all__ = [
-    "fig2_message_size_economics",
-    "fig4a_latency",
-    "fig4b_bandwidth",
-    "fig7_update_rate_guarantee",
-    "fig8_latency_guarantee",
-    "fig9_query_mix",
-    "fig10_rr_reaction",
-    "fig11_dd_heterogeneity",
-    "chaos8_update_rate",
-    "chaos11_crash_recovery",
     "fig2_points",
     "fig4a_points",
     "fig4b_points",
@@ -85,7 +71,7 @@ __all__ = [
     "fig11_points",
     "chaos8_points",
     "chaos11_points",
-    "POINT_FNS",
+    "BENCH_SUITES",
     "MICRO_SIZES_LATENCY",
     "MICRO_SIZES_BANDWIDTH",
     "FIG7_RATES",
@@ -173,24 +159,18 @@ def _fig2_merge(required_bandwidth_mbps: float, values: List[float]) -> Experime
     return table
 
 
-def fig2_message_size_economics(required_bandwidth_mbps: float = 450.0) -> ExperimentTable:
+def fig2_points(required_bandwidth_mbps: float = 450.0) -> PointPlan:
     """Figure 2 (conceptual, here with calibrated numbers): the message
     sizes U1 (kernel sockets) and U2 (high-performance substrate) at
     which each transport attains a required bandwidth B, and the
     latency improvements L1 -> L2 (same size, faster substrate) -> L3
     (substrate at its own smaller size).
 
-    A closed-form model evaluation with no sweep axes, so there is no
-    quick variant: quick and full runs are the same table (see the
-    exemption note in ``repro.bench.suites``).
+    A single-point plan: a closed-form model evaluation with no sweep
+    axes, so there is no quick variant — quick and full runs are the
+    same table (see the exemption note on the ``2`` panel below).
     """
-    return _fig2_merge(required_bandwidth_mbps,
-                       fig2_economics(required_bandwidth_mbps))
-
-
-def fig2_points(required_bandwidth_mbps: float = 450.0) -> PointPlan:
-    """Figure 2 as a single-point plan (one model evaluation)."""
-    points = [Point("2", "fig2_economics",
+    points = [Point("2", fig2_economics,
                     {"required_bandwidth_mbps": float(required_bandwidth_mbps)})]
     return PointPlan(
         "2", points,
@@ -240,27 +220,7 @@ def fig4b_size(size: int) -> List[float]:
     ]
 
 
-def fig4a_latency(sizes=None) -> ExperimentTable:
-    """Figure 4(a): one-way latency vs message size, three transports."""
-    sizes = sizes or MICRO_SIZES_LATENCY
-    table = _fig4a_table()
-    for size in sizes:
-        table.add_row(size, *fig4a_size(size))
-    table.add_note(_FIG4A_NOTE)
-    return table
-
-
-def fig4b_bandwidth(sizes=None) -> ExperimentTable:
-    """Figure 4(b): streaming bandwidth (Mbps) vs message size."""
-    sizes = sizes or MICRO_SIZES_BANDWIDTH
-    table = _fig4b_table()
-    for size in sizes:
-        table.add_row(size, *fig4b_size(size))
-    table.add_note(_FIG4B_NOTE)
-    return table
-
-
-def _fig4_points(figure: str, fn: str, sizes, table_fn, note) -> PointPlan:
+def _fig4_points(figure: str, fn, sizes, table_fn, note) -> PointPlan:
     sizes = [int(s) for s in sizes]
     points = [Point(figure, fn, {"size": s}) for s in sizes]
 
@@ -275,14 +235,16 @@ def _fig4_points(figure: str, fn: str, sizes, table_fn, note) -> PointPlan:
 
 
 def fig4a_points(sizes=None) -> PointPlan:
-    """Figure 4(a) as one point per message size."""
-    return _fig4_points("4a", "fig4a_size", sizes or MICRO_SIZES_LATENCY,
+    """Figure 4(a): one-way latency vs message size, three transports;
+    one point per message size."""
+    return _fig4_points("4a", fig4a_size, sizes or MICRO_SIZES_LATENCY,
                         _fig4a_table, _FIG4A_NOTE)
 
 
 def fig4b_points(sizes=None) -> PointPlan:
-    """Figure 4(b) as one point per message size."""
-    return _fig4_points("4b", "fig4b_size", sizes or MICRO_SIZES_BANDWIDTH,
+    """Figure 4(b): streaming bandwidth (Mbps) vs message size; one
+    point per message size."""
+    return _fig4_points("4b", fig4b_size, sizes or MICRO_SIZES_BANDWIDTH,
                         _fig4b_table, _FIG4B_NOTE)
 
 
@@ -358,34 +320,22 @@ def fig7_rate(rate: float, compute_ns_per_byte: float, frames: int) -> List[Any]
             _f(tcp_rate), _f(dr_rate)]
 
 
-def fig7_update_rate_guarantee(
-    compute_ns_per_byte: float = 0.0,
-    rates=None,
-    frames: int = 3,
-) -> ExperimentTable:
-    """Figure 7: partial-update latency while guaranteeing a full-update
-    rate.  Series: TCP (blocks planned for TCP), SocketVIA at TCP's
-    blocks, SocketVIA with Data Repartitioning (its own blocks).
-
-    ``compute_ns_per_byte=0`` reproduces 7(a); 18.0 reproduces 7(b).
-    """
-    rates = rates or FIG7_RATES
-    table = _fig7_table(compute_ns_per_byte)
-    for rate in rates:
-        table.add_row(rate, *fig7_rate(rate, compute_ns_per_byte, frames))
-    return _fig7_add_notes(table)
-
-
 def fig7_points(
     compute_ns_per_byte: float = 0.0,
     rates=None,
     frames: int = 3,
 ) -> PointPlan:
-    """Figure 7 as one point per guaranteed update rate."""
+    """Figure 7: partial-update latency while guaranteeing a full-update
+    rate.  Series: TCP (blocks planned for TCP), SocketVIA at TCP's
+    blocks, SocketVIA with Data Repartitioning (its own blocks).
+
+    ``compute_ns_per_byte=0`` reproduces 7(a); 18.0 reproduces 7(b).
+    One point per guaranteed update rate.
+    """
     rates = [float(r) for r in (rates or FIG7_RATES)]
     figure = "7b" if compute_ns_per_byte else "7a"
     points = [
-        Point(figure, "fig7_rate",
+        Point(figure, fig7_rate,
               {"rate": rate, "compute_ns_per_byte": float(compute_ns_per_byte),
                "frames": int(frames)})
         for rate in rates
@@ -443,43 +393,17 @@ def fig8_rate(protocol: str, block: int, compute_ns_per_byte: float,
     return float(measure_max_update_rate(cfg, frames=frames))
 
 
-def fig8_latency_guarantee(
-    compute_ns_per_byte: float = 0.0,
-    bounds_us=None,
-    frames: int = 3,
-) -> ExperimentTable:
-    """Figure 8: maximum full updates/s while a partial-update chunk
-    fetch stays under the latency guarantee.  Series as Figure 7."""
-    bounds_us = bounds_us or FIG8_BOUNDS_US
-    table = _fig8_table(compute_ns_per_byte)
-
-    cache = {}
-
-    def rate_for(protocol, block):
-        key = (protocol, block)
-        if key not in cache:
-            cache[key] = fig8_rate(protocol, block, compute_ns_per_byte, frames)
-        return cache[key]
-
-    for bound, b_tcp, b_sv in _fig8_blocks(compute_ns_per_byte, bounds_us):
-        tcp_rate = rate_for("tcp", b_tcp) if b_tcp else None
-        sv_rate = rate_for("socketvia", b_tcp) if b_tcp else None
-        dr_rate = rate_for("socketvia", b_sv) if b_sv else None
-        table.add_row(bound, b_tcp, tcp_rate, sv_rate, b_sv, dr_rate)
-    table.add_note(_FIG8_NOTE)
-    return table
-
-
 def fig8_points(
     compute_ns_per_byte: float = 0.0,
     bounds_us=None,
     frames: int = 3,
 ) -> PointPlan:
-    """Figure 8 as one point per **unique** (protocol, block) pair.
+    """Figure 8: maximum full updates/s while a partial-update chunk
+    fetch stays under the latency guarantee.  Series as Figure 7.
 
-    Planning is analytic and happens here; different latency bounds
-    that plan the same block share one measurement point — the same
-    memoization the serial driver's ``rate_for`` cache performs.
+    One point per **unique** (protocol, block) pair: planning is
+    analytic and happens here, and different latency bounds that plan
+    the same block share one measurement point.
     """
     bounds_us = [int(b) for b in (bounds_us or FIG8_BOUNDS_US)]
     figure = "8b" if compute_ns_per_byte else "8a"
@@ -491,7 +415,7 @@ def fig8_points(
             if block and (protocol, block) not in pairs:
                 pairs.append((protocol, block))
     points = [
-        Point(figure, "fig8_rate",
+        Point(figure, fig8_rate,
               {"protocol": protocol, "block": int(block),
                "compute_ns_per_byte": float(compute_ns_per_byte),
                "frames": int(frames)})
@@ -557,32 +481,6 @@ def fig9_cell(fraction: float, protocol: str, partitions: int,
     return float(res.latency("any").mean * 1e3)
 
 
-def fig9_query_mix(
-    compute_ns_per_byte: float = 0.0,
-    fractions=None,
-    partitions=(1, 8, 64),
-    n_queries: int = 10,
-    seed: int = 31,
-) -> ExperimentTable:
-    """Figure 9: average query response time (ms) vs the fraction of
-    complete-update queries, for several dataset partitionings.
-
-    Partitioning 1 = "No Partitions" (every query fetches the whole
-    16 MB image); zoom queries need 4 chunks when partitioned.
-    """
-    fractions = fractions or FIG9_FRACTIONS
-    table = _fig9_table(compute_ns_per_byte, partitions)
-    for frac in fractions:
-        row = [frac]
-        for proto in ("socketvia", "tcp"):
-            for parts in partitions:
-                row.append(fig9_cell(frac, proto, parts,
-                                     compute_ns_per_byte, n_queries, seed))
-        table.add_row(*row)
-    table.add_note(_FIG9_NOTE)
-    return table
-
-
 def fig9_points(
     compute_ns_per_byte: float = 0.0,
     fractions=None,
@@ -590,12 +488,18 @@ def fig9_points(
     n_queries: int = 10,
     seed: int = 31,
 ) -> PointPlan:
-    """Figure 9 as one point per (mix fraction, protocol, partitioning)."""
+    """Figure 9: average query response time (ms) vs the fraction of
+    complete-update queries, for several dataset partitionings.
+
+    Partitioning 1 = "No Partitions" (every query fetches the whole
+    16 MB image); zoom queries need 4 chunks when partitioned.  One
+    point per (mix fraction, protocol, partitioning).
+    """
     fractions = [float(f) for f in (fractions or FIG9_FRACTIONS)]
     partitions = tuple(int(p) for p in partitions)
     figure = "9b" if compute_ns_per_byte else "9a"
     points = [
-        Point(figure, "fig9_cell",
+        Point(figure, fig9_cell,
               {"fraction": frac, "protocol": proto, "partitions": parts,
                "compute_ns_per_byte": float(compute_ns_per_byte),
                "n_queries": int(n_queries), "seed": int(seed)})
@@ -646,11 +550,11 @@ def fig10_cell(factor: int, protocol: str, total_bytes: int,
     return float(to_usec(res.reaction_time(_SLOW_INDEX)))
 
 
-def fig10_rr_reaction(
+def fig10_points(
     factors=None,
     total_bytes: int = PAPER_IMAGE_BYTES // 2,
     compute_ns_per_byte: float = 90.0,
-) -> ExperimentTable:
+) -> PointPlan:
     """Figure 10: how long the RR balancer stays committed to a slow
     node, vs the factor of heterogeneity.  Blocks: 16 KB (TCP) / 2 KB
     (SocketVIA) — the perfect-pipelining sizes.
@@ -659,34 +563,11 @@ def fig10_rr_reaction(
     process each block several times — also the paper's slowdown
     emulation mechanism) so that both transports are compute-bound and
     the reaction time reflects block processing, not the balancer's own
-    send path.
+    send path.  One point per (factor, protocol) pair.
     """
-    factors = factors or FIG10_FACTORS
-    table = _fig10_table()
-    for factor in factors:
-        reactions = {
-            proto: fig10_cell(factor, proto, total_bytes, compute_ns_per_byte)
-            for proto in ("socketvia", "tcp")
-        }
-        table.add_row(
-            factor,
-            reactions["socketvia"],
-            reactions["tcp"],
-            ratio(reactions["tcp"], reactions["socketvia"]),
-        )
-    table.add_note(_FIG10_NOTE)
-    return table
-
-
-def fig10_points(
-    factors=None,
-    total_bytes: int = PAPER_IMAGE_BYTES // 2,
-    compute_ns_per_byte: float = 90.0,
-) -> PointPlan:
-    """Figure 10 as one point per (factor, protocol) pair."""
     factors = [int(f) for f in (factors or FIG10_FACTORS)]
     points = [
-        Point("10", "fig10_cell",
+        Point("10", fig10_cell,
               {"factor": factor, "protocol": proto,
                "total_bytes": int(total_bytes),
                "compute_ns_per_byte": float(compute_ns_per_byte)})
@@ -743,12 +624,12 @@ def fig11_cell(prob: float, factor: int, protocol: str, total_bytes: int,
     return float(to_usec(res.execution_time))
 
 
-def fig11_dd_heterogeneity(
+def fig11_points(
     probabilities=None,
     factors=None,
     total_bytes: int = PAPER_IMAGE_BYTES // 2,
     compute_ns_per_byte: float = 90.0,
-) -> ExperimentTable:
+) -> PointPlan:
     """Figure 11: execution time under demand-driven scheduling when one
     node is slow with a given probability per block.
 
@@ -756,33 +637,12 @@ def fig11_dd_heterogeneity(
     visualization work repeatedly per block, see DESIGN.md) so that the
     system is compute-bound for both transports — the regime where the
     paper observes "application performance using TCP is close to that
-    of SocketVIA".
+    of SocketVIA".  One point per (probability, protocol, factor) cell.
     """
-    probabilities = probabilities or FIG11_PROBABILITIES
-    factors = factors or FIG11_FACTORS
-    table = _fig11_table(factors)
-    for prob in probabilities:
-        row = [int(prob * 100)]
-        for proto in ("socketvia", "tcp"):
-            for factor in factors:
-                row.append(fig11_cell(prob, factor, proto, total_bytes,
-                                      compute_ns_per_byte))
-        table.add_row(*row)
-    table.add_note(_FIG11_NOTE)
-    return table
-
-
-def fig11_points(
-    probabilities=None,
-    factors=None,
-    total_bytes: int = PAPER_IMAGE_BYTES // 2,
-    compute_ns_per_byte: float = 90.0,
-) -> PointPlan:
-    """Figure 11 as one point per (probability, protocol, factor) cell."""
     probabilities = [float(p) for p in (probabilities or FIG11_PROBABILITIES)]
     factors = [int(f) for f in (factors or FIG11_FACTORS)]
     points = [
-        Point("11", "fig11_cell",
+        Point("11", fig11_cell,
               {"prob": prob, "factor": factor, "protocol": proto,
                "total_bytes": int(total_bytes),
                "compute_ns_per_byte": float(compute_ns_per_byte)})
@@ -918,50 +778,15 @@ def _chaos11_table() -> ExperimentTable:
     )
 
 
-def chaos8_update_rate(
-    compute_ns_per_byte: float = 18.0,
-    bounds_us=None,
-    frames: int = 3,
-) -> ExperimentTable:
-    """Chaos panel c8: Figure 8 updates/s, fault-free next to the
-    chaos-fig8 plan, per latency bound."""
-    bounds_us = bounds_us or CHAOS8_BOUNDS_US
-    plan_dict = _plan_dict("chaos-fig8")
-    table = _chaos8_table()
-
-    cache = {}
-
-    def rate_for(protocol, block, chaos):
-        key = (protocol, block, chaos)
-        if key not in cache:
-            if chaos:
-                cache[key] = chaos8_rate(protocol, block,
-                                         compute_ns_per_byte, frames,
-                                         plan_dict)
-            else:
-                cache[key] = fig8_rate(protocol, block,
-                                       compute_ns_per_byte, frames)
-        return cache[key]
-
-    for bound, b_tcp, b_sv in _fig8_blocks(compute_ns_per_byte, bounds_us):
-        table.add_row(
-            bound, b_tcp,
-            rate_for("tcp", b_tcp, False) if b_tcp else None,
-            rate_for("tcp", b_tcp, True) if b_tcp else None,
-            b_sv,
-            rate_for("socketvia", b_sv, False) if b_sv else None,
-            rate_for("socketvia", b_sv, True) if b_sv else None)
-    table.add_note(_CHAOS8_NOTE)
-    return table
-
-
 def chaos8_points(
     compute_ns_per_byte: float = 18.0,
     bounds_us=None,
     frames: int = 3,
 ) -> PointPlan:
-    """Panel c8 as points; fault-free legs are plain Figure 8 points
-    (same fn, figure, and params — shared cache entries)."""
+    """Chaos panel c8: Figure 8 updates/s, fault-free next to the
+    chaos-fig8 plan, per latency bound.  Fault-free legs are plain
+    Figure 8 points (same fn, figure, and params — shared cache
+    entries)."""
     bounds_us = [int(b) for b in (bounds_us or CHAOS8_BOUNDS_US)]
     plan_dict = _plan_dict("chaos-fig8")
     base_figure = "8b" if compute_ns_per_byte else "8a"
@@ -979,10 +804,10 @@ def chaos8_points(
                   "compute_ns_per_byte": float(compute_ns_per_byte),
                   "frames": int(frames)}
         if chaos:
-            points.append(Point("c8", "chaos8_rate",
+            points.append(Point("c8", chaos8_rate,
                                 {**params, "fault_plan": plan_dict}))
         else:
-            points.append(Point(base_figure, "fig8_rate", params))
+            points.append(Point(base_figure, fig8_rate, params))
 
     def merge(values: List[Any]) -> ExperimentTable:
         rate = dict(zip(triples, values))
@@ -1001,37 +826,15 @@ def chaos8_points(
     return PointPlan("c8", points, merge)
 
 
-def chaos11_crash_recovery(
-    probabilities=None,
-    factor: int = CHAOS11_FACTOR,
-    total_bytes: int = PAPER_IMAGE_BYTES // 2,
-    compute_ns_per_byte: float = 90.0,
-) -> ExperimentTable:
-    """Chaos panel c11: Figure 11's DD sweep, fault-free next to the
-    chaos-fig11 plan (worker crash + restart mid-run)."""
-    probabilities = probabilities or CHAOS11_PROBABILITIES
-    plan_dict = _plan_dict("chaos-fig11")
-    table = _chaos11_table()
-    for prob in probabilities:
-        row = [int(prob * 100)]
-        for proto in ("socketvia", "tcp"):
-            base = fig11_cell(prob, factor, proto, total_bytes,
-                              compute_ns_per_byte)
-            chaos = chaos11_cell(prob, factor, proto, total_bytes,
-                                 compute_ns_per_byte, plan_dict)
-            row += [base, chaos[0], chaos[1], chaos[2]]
-        table.add_row(*row)
-    table.add_note(_CHAOS11_NOTE)
-    return table
-
-
 def chaos11_points(
     probabilities=None,
     factor: int = CHAOS11_FACTOR,
     total_bytes: int = PAPER_IMAGE_BYTES // 2,
     compute_ns_per_byte: float = 90.0,
 ) -> PointPlan:
-    """Panel c11 as points; fault-free legs are plain Figure 11 points."""
+    """Chaos panel c11: Figure 11's DD sweep, fault-free next to the
+    chaos-fig11 plan (worker crash + restart mid-run).  Fault-free legs
+    are plain Figure 11 points."""
     probabilities = [float(p)
                      for p in (probabilities or CHAOS11_PROBABILITIES)]
     factor = int(factor)
@@ -1042,8 +845,8 @@ def chaos11_points(
             params = {"prob": prob, "factor": factor, "protocol": proto,
                       "total_bytes": int(total_bytes),
                       "compute_ns_per_byte": float(compute_ns_per_byte)}
-            points.append(Point("11", "fig11_cell", params))
-            points.append(Point("c11", "chaos11_cell",
+            points.append(Point("11", fig11_cell, params))
+            points.append(Point("c11", chaos11_cell,
                                 {**params, "fault_plan": plan_dict}))
 
     def merge(values: List[Any]) -> ExperimentTable:
@@ -1062,25 +865,372 @@ def chaos11_points(
     return PointPlan("c11", points, merge)
 
 
-#: Registry of pure point functions, keyed by the name stored in each
-#: :class:`~repro.bench.executor.Point` — the unit a process-pool task
-#: executes and a cache entry is addressed by.  Names are part of the
-#: cache key: renaming one orphans its entries (harmless; they evict).
-POINT_FNS: Dict[str, Any] = {
-    "fig2_economics": fig2_economics,
-    "fig4a_size": fig4a_size,
-    "fig4b_size": fig4b_size,
-    "fig7_rate": fig7_rate,
-    "fig8_rate": fig8_rate,
-    "fig9_cell": fig9_cell,
-    "fig10_cell": fig10_cell,
-    "fig11_cell": fig11_cell,
-    "chaos8_rate": chaos8_rate,
-    "chaos11_cell": chaos11_cell,
-    "serve_cell": serve_cell,
-    "serve_scale_cell": serve_scale_cell,
-    "serve_shard_cell": serve_shard_cell,
-    "wcq_cell": wcq_cell,
-    "wcb_cell": wcb_cell,
-    "tails_cell": tails_cell,
-}
+# ---------------------------------------------------------------------------
+# fig02 anchors and claims — message-size economics
+# ---------------------------------------------------------------------------
+
+
+def _fig02_values(table: ExperimentTable) -> Dict[str, float]:
+    return dict(zip(table.column("quantity"), table.column("value")))
+
+
+def _fig02_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    table = tables.get("2")
+    if table is None:
+        return []
+    v = _fig02_values(table)
+
+    def mk(key, desc, quantity, unit):
+        return Anchor(key, desc, v.get(quantity), group="2", unit=unit)
+
+    return [
+        mk("u1_bytes", "U1: kernel-sockets message size for B",
+           "U1 (kernel sockets size for B, bytes)", "B"),
+        mk("u2_bytes", "U2: high-perf substrate size for B",
+           "U2 (high-perf substrate size for B, bytes)", "B"),
+        mk("l1_us", "L1: kernel latency at U1",
+           "L1 = kernel latency at U1 (us)", "us"),
+        mk("l2_us", "L2: substrate latency at U1",
+           "L2 = substrate latency at U1 (us)", "us"),
+        mk("l3_us", "L3: substrate latency at U2",
+           "L3 = substrate latency at U2 (us)", "us"),
+    ]
+
+
+def _fig02_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    table = tables.get("2")
+    if table is None:
+        return []
+    v = _fig02_values(table)
+    u1 = v["U1 (kernel sockets size for B, bytes)"]
+    u2 = v["U2 (high-perf substrate size for B, bytes)"]
+    l1 = v["L1 = kernel latency at U1 (us)"]
+    l2 = v["L2 = substrate latency at U1 (us)"]
+    l3 = v["L3 = substrate latency at U2 (us)"]
+    return [
+        Claim("u2_much_smaller_than_u1",
+              "U2 << U1 (repartitioning has room to shrink messages)",
+              u2 < u1 / 4, "2"),
+        Claim("latency_staircase",
+              "L3 < L2 < L1 (direct then indirect improvement)",
+              l3 < l2 < l1, "2"),
+        Claim("total_improvement_over_10x",
+              "L1/L3 > 10 (combined improvement exceeds an order of magnitude)",
+              l1 / l3 > 10, "2"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# fig04 anchors and claims — micro-benchmarks (the calibrated anchors)
+# ---------------------------------------------------------------------------
+
+
+def _fig04_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    from repro.net import PAPER_MICROBENCH
+
+    anchors: List[Anchor] = []
+    lat = tables.get("4a")
+    if lat is not None:
+        sv = _cell(lat, "msg_bytes", 4, "SocketVIA")
+        tcp = _cell(lat, "msg_bytes", 4, "TCP")
+        via = _cell(lat, "msg_bytes", 4, "VIA")
+        anchors += [
+            Anchor("socketvia_latency_4b_us", "SocketVIA 4-byte latency",
+                   sv, group="4a", unit="us",
+                   paper=PAPER_MICROBENCH["socketvia_latency_4b_us"],
+                   rel_tol=0.05),
+            Anchor("tcp_over_socketvia_latency",
+                   "TCP / SocketVIA latency ratio (4 B)",
+                   ratio(tcp, sv), group="4a", unit="x",
+                   paper=PAPER_MICROBENCH["tcp_latency_over_socketvia"],
+                   rel_tol=0.10),
+            Anchor("via_latency_4b_us", "raw VIA 4-byte latency",
+                   via, group="4a", unit="us"),
+        ]
+    bw = tables.get("4b")
+    if bw is not None:
+        def peak(col):
+            return _cell(bw, "msg_bytes", 65536, col)
+
+        def at2k(col):
+            return _cell(bw, "msg_bytes", 2048, col)
+
+        anchors += [
+            Anchor("via_peak_mbps", "VIA peak bandwidth (64 KB)",
+                   peak("VIA"), group="4b", unit="Mbps",
+                   paper=PAPER_MICROBENCH["via_peak_mbps"], rel_tol=0.05),
+            Anchor("socketvia_peak_mbps", "SocketVIA peak bandwidth (64 KB)",
+                   peak("SocketVIA"), group="4b", unit="Mbps",
+                   paper=PAPER_MICROBENCH["socketvia_peak_mbps"],
+                   rel_tol=0.05),
+            Anchor("tcp_peak_mbps", "TCP peak bandwidth (64 KB)",
+                   peak("TCP"), group="4b", unit="Mbps",
+                   paper=PAPER_MICROBENCH["tcp_peak_mbps"], rel_tol=0.05),
+            Anchor("socketvia_2k_fraction_of_peak",
+                   "SocketVIA bandwidth at 2 KB / its peak",
+                   ratio(at2k("SocketVIA"), peak("SocketVIA")),
+                   group="4b", unit="frac"),
+            Anchor("tcp_2k_fraction_of_peak",
+                   "TCP bandwidth at 2 KB / its peak",
+                   ratio(at2k("TCP"), peak("TCP")), group="4b", unit="frac"),
+        ]
+    return anchors
+
+
+def _fig04_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    claims: List[Claim] = []
+    lat = tables.get("4a")
+    if lat is not None:
+        via = _cell(lat, "msg_bytes", 4, "VIA")
+        sv = _cell(lat, "msg_bytes", 4, "SocketVIA")
+        tcp = _cell(lat, "msg_bytes", 4, "TCP")
+        claims.append(Claim(
+            "latency_ordering", "VIA < SocketVIA < TCP at 4 bytes",
+            via < sv < tcp, "4a"))
+        monotone = all(
+            lat.column(col) == sorted(lat.column(col))
+            for col in ("VIA", "SocketVIA", "TCP"))
+        claims.append(Claim(
+            "latency_monotone", "latency grows with message size, every series",
+            monotone, "4a"))
+    bw = tables.get("4b")
+    if bw is not None:
+        sv2k = _cell(bw, "msg_bytes", 2048, "SocketVIA")
+        svp = _cell(bw, "msg_bytes", 65536, "SocketVIA")
+        tcp2k = _cell(bw, "msg_bytes", 2048, "TCP")
+        tcpp = _cell(bw, "msg_bytes", 65536, "TCP")
+        claims += [
+            Claim("socketvia_near_peak_at_2k",
+                  "SocketVIA within 10% of peak at 2 KB (U2)",
+                  sv2k > 0.9 * svp, "4b"),
+            Claim("tcp_far_from_peak_at_2k",
+                  "TCP below 75% of peak at 2 KB (needs U1 ~ 16 KB)",
+                  tcp2k < 0.75 * tcpp, "4b"),
+        ]
+    return claims
+
+
+# ---------------------------------------------------------------------------
+# fig10 anchors and claims — round-robin reaction time
+# ---------------------------------------------------------------------------
+
+
+def _fig10_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    from repro.net import PAPER_RESULTS
+
+    table = tables.get("10")
+    if table is None:
+        return []
+    anchors = []
+    for factor, r in zip(table.column("factor"),
+                         table.column("ratio_tcp_over_sv")):
+        anchors.append(Anchor(
+            f"reaction_ratio_factor_{factor}",
+            f"TCP/SocketVIA reaction-time ratio at heterogeneity {factor}",
+            r, group="10", unit="x",
+            paper=PAPER_RESULTS["fig10_reaction_ratio"], rel_tol=0.15))
+    return anchors
+
+
+def _fig10_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    table = tables.get("10")
+    if table is None:
+        return []
+    sv = table.column("SocketVIA")
+    tcp = table.column("TCP")
+    return [
+        Claim("reaction_grows_with_factor",
+              "reaction time grows with the heterogeneity factor",
+              sv == sorted(sv) and tcp == sorted(tcp), "10"),
+        Claim("socketvia_reacts_faster",
+              "SocketVIA reacts faster than TCP at every factor",
+              all(s < t for s, t in zip(sv, tcp)), "10"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# fig11 claims — demand-driven scheduling under dynamic slowdown
+# ---------------------------------------------------------------------------
+
+
+def _fig11_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    table = tables.get("11")
+    if table is None:
+        return []
+    sv_cols = [c for c in table.columns if c.startswith("SocketVIA")]
+    tcp_cols = [c for c in table.columns if c.startswith("TCP")]
+    close = all(
+        abs(t - s) / s < 0.15
+        for sc, tc in zip(sv_cols, tcp_cols)
+        for s, t in zip(table.column(sc), table.column(tc)))
+    rising = all(
+        table.column(c)[0] < table.column(c)[-1]
+        for c in sv_cols + tcp_cols)
+    return [
+        Claim("tcp_tracks_socketvia",
+              "TCP within 15% of SocketVIA under demand-driven scheduling",
+              close, "11"),
+        Claim("time_rises_with_p_slow",
+              "execution time rises with P(slow), every series",
+              rising, "11"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# chaos anchors and claims — Figures 8 and 11 under calibrated fault
+# plans (not a paper figure; gates the fault-injection and resilience
+# machinery in repro.faults, see docs/RESILIENCE.md)
+# ---------------------------------------------------------------------------
+
+
+def _chaos_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    anchors: List[Anchor] = []
+    c8 = tables.get("c8")
+    if c8 is not None:
+        # Bound 1000 us is on both the full and --quick axes.
+        for proto in ("TCP", "SocketVIA"):
+            base = _cell(c8, "latency_us", 1000, proto)
+            chaos = _cell(c8, "latency_us", 1000, f"{proto}_chaos")
+            anchors.append(Anchor(
+                f"chaos8_{proto.lower()}_rate_retention",
+                f"{proto} update rate under chaos-fig8 / fault-free "
+                "(1000 us bound)",
+                ratio(chaos, base), group="c8", unit="frac"))
+    c11 = tables.get("c11")
+    if c11 is not None:
+        # P(slow)=10% is on both the full and --quick axes.
+        anchors += [
+            Anchor("chaos11_sv_crash_overhead",
+                   "SocketVIA execution time with worker crash+restart / "
+                   "fault-free (P(slow)=0.1)",
+                   ratio(_cell(c11, "prob_slow_pct", 10, "SocketVIA_chaos"),
+                         _cell(c11, "prob_slow_pct", 10, "SocketVIA")),
+                   group="c11", unit="x"),
+            Anchor("chaos11_sv_crashed_share",
+                   "share of blocks the crashed worker still processed "
+                   "(SocketVIA, P(slow)=0.1)",
+                   _cell(c11, "prob_slow_pct", 10, "sv_crashed_share"),
+                   group="c11", unit="frac"),
+        ]
+    return anchors
+
+
+def _chaos_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    claims: List[Claim] = []
+    c8 = tables.get("c8")
+    if c8 is not None:
+        cells = [
+            (base, chaos)
+            for proto in ("TCP", "SocketVIA")
+            for base, chaos in zip(c8.column(proto),
+                                   c8.column(f"{proto}_chaos"))
+            if base is not None and chaos is not None
+        ]
+        claims += [
+            Claim("chaos8_faults_degrade_rate",
+                  "fault injection lowers the measured update rate, "
+                  "every cell",
+                  all(chaos < base for base, chaos in cells), "c8"),
+            Claim("chaos8_degradation_bounded",
+                  "chaos keeps at least half the fault-free update rate "
+                  "(graceful degradation, not collapse)",
+                  all(chaos >= 0.5 * base for base, chaos in cells), "c8"),
+        ]
+    c11 = tables.get("c11")
+    if c11 is not None:
+        pairs = [
+            (base, chaos)
+            for proto in ("SocketVIA", "TCP")
+            for base, chaos in zip(c11.column(proto),
+                                   c11.column(f"{proto}_chaos"))
+        ]
+        shares = c11.column("sv_crashed_share") + c11.column("tcp_crashed_share")
+        # Crashed vs peer, not vs the fair share 1/n: the crashed worker
+        # and its healthy peer gain from the slow node's slowness
+        # symmetrically, so only the crash separates their shares.
+        share_pairs = [
+            (crashed, peer)
+            for p in ("sv", "tcp")
+            for crashed, peer in zip(c11.column(f"{p}_crashed_share"),
+                                     c11.column(f"{p}_peer_share"))
+        ]
+        claims += [
+            Claim("chaos11_crash_overhead_bounded",
+                  "worker crash+restart costs time but never doubles it "
+                  "(demand-driven rescheduling absorbs the outage)",
+                  all(base < chaos <= 2 * base for base, chaos in pairs),
+                  "c11"),
+            Claim("chaos11_dd_routes_around_crash",
+                  "the crashed worker processes fewer blocks than its "
+                  "healthy peer at every P(slow)",
+                  all(crashed < peer for crashed, peer in share_pairs),
+                  "c11"),
+            Claim("chaos11_crashed_worker_rejoins",
+                  "the crashed worker keeps a substantial share of blocks "
+                  "at every P(slow) (it rejoined at restart)",
+                  all(0.2 < s < 0.5 for s in shares), "c11"),
+        ]
+    return claims
+
+
+# ---------------------------------------------------------------------------
+# The suites: panels with their full and quick axes
+# ---------------------------------------------------------------------------
+
+BENCH_SUITES = (
+    BenchSuite("fig02", "Message-size economics (Figure 2)", (
+        # fig2 is a closed-form model evaluation with no sweep axes, so
+        # it is exempt from quick mode by design: quick and full runs
+        # produce the same (instant) table.  Audited by
+        # tests/test_bench_executor.py::test_fig2_quick_equals_full.
+        Panel("2", "instant", fig2_points),
+    ), _fig02_anchors, _fig02_claims),
+    BenchSuite("fig04", "Latency / bandwidth micro-benchmarks (Figure 4)", (
+        Panel("4a", "~1 s", fig4a_points,
+              quick_kwargs={"sizes": [4, 256, 4096]}),
+        Panel("4b", "~1 s", fig4b_points,
+              quick_kwargs={"sizes": [2048, 16384, 65536]}),
+    ), _fig04_anchors, _fig04_claims),
+    BenchSuite("fig07", "Partial-update latency under update-rate "
+               "guarantees (Figure 7)", (
+        Panel("7a", "~30 s", fig7_points, {"compute_ns_per_byte": 0.0},
+              {"rates": [4.0, 3.25, 2.0], "frames": 2}),
+        Panel("7b", "~30 s", fig7_points, {"compute_ns_per_byte": 18.0},
+              {"rates": [3.25, 2.0], "frames": 2}),
+    )),
+    BenchSuite("fig08", "Updates/s under latency guarantees (Figure 8)", (
+        Panel("8a", "~20 s", fig8_points, {"compute_ns_per_byte": 0.0},
+              {"bounds_us": [1000, 400, 100], "frames": 2}),
+        Panel("8b", "~20 s", fig8_points, {"compute_ns_per_byte": 18.0},
+              {"bounds_us": [1000, 400, 200], "frames": 2}),
+    )),
+    BenchSuite("fig09", "Mixed query types vs response time (Figure 9)", (
+        Panel("9a", "~30 s", fig9_points, {"compute_ns_per_byte": 0.0},
+              {"fractions": [0.0, 0.6, 1.0], "n_queries": 6}),
+        Panel("9b", "~30 s", fig9_points, {"compute_ns_per_byte": 18.0},
+              {"fractions": [0.0, 1.0], "n_queries": 6}),
+    )),
+    BenchSuite("fig10", "Round-robin reaction time (Figure 10)", (
+        Panel("10", "~1 s", fig10_points,
+              quick_kwargs={"factors": [2, 10],
+                            "total_bytes": 4 * 1024 * 1024}),
+    ), _fig10_anchors, _fig10_claims),
+    BenchSuite("fig11", "Demand-driven scheduling under dynamic "
+               "slowdown (Figure 11)", (
+        Panel("11", "~4 s", fig11_points,
+              quick_kwargs={"probabilities": [0.1, 0.9], "factors": [2, 8],
+                            "total_bytes": 2 * 1024 * 1024}),
+    ), claims=_fig11_claims),
+    # Chaos panels: Figures 8 and 11 re-measured under the named fault
+    # plans in repro.faults.presets, fault-free legs side by side
+    # (those reuse the plain fig8/fig11 points, sharing their cache
+    # entries).
+    BenchSuite("chaos", "Figures 8 and 11 under calibrated fault "
+               "plans (fault injection + resilience)", (
+        Panel("c8", "~30 s", chaos8_points, {"compute_ns_per_byte": 18.0},
+              {"bounds_us": [1000, 200], "frames": 2}),
+        Panel("c11", "~10 s", chaos11_points,
+              quick_kwargs={"probabilities": [0.1, 0.9],
+                            "total_bytes": 2 * 1024 * 1024}),
+    ), _chaos_anchors, _chaos_claims),
+)

@@ -32,12 +32,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from repro.bench.records import ExperimentTable
+from repro.bench.suites import Anchor, BenchSuite, Claim, Panel, _rows
 from repro.cluster.topology import Cluster
 from repro.sim.core import global_events_processed
 from repro.sim.flow import simulation_mode
 from repro.sockets.factory import ProtocolAPI
 
-__all__ = ["fluid_suite", "FAN_IN_SENDERS", "LARGE_BYTES"]
+__all__ = ["fluid_suite", "FAN_IN_SENDERS", "LARGE_BYTES", "BENCH_SUITES"]
 
 _PORT = 5000
 
@@ -245,3 +246,81 @@ def fluid_suite(quick: bool = False) -> ExperimentTable:
     table.add_note(
         f"large-transfer economy claims apply at >= {LARGE_BYTES} bytes")
     return table
+
+
+# ---------------------------------------------------------------------------
+# The fluid suite: anchors, claims, and its one meta panel (not a paper
+# figure; gates the hybrid transfer mode in repro.sim.flow and its fast
+# paths in the link/TCP/VIA layers, see docs/ARCHITECTURE.md
+# "Fluid-flow mode")
+# ---------------------------------------------------------------------------
+
+
+def _fluid_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    table = tables.get("fluid")
+    if table is None:
+        return []
+    rows = _rows(table)
+    large = [r["event_ratio"] for r in rows
+             if r["scenario"].endswith("-oneshot")
+             and r["msg_bytes"] >= LARGE_BYTES
+             and r["event_ratio"] is not None]
+    saved = sum(r["events_packet"] - r["events_fluid"] for r in rows)
+    return [
+        Anchor("fluid_min_large_ratio",
+               "worst packet/fluid event ratio over large one-shot "
+               "transfers (deterministic; CI floor is 5x)",
+               min(large) if large else None, group="fluid", unit="x"),
+        Anchor("fluid_max_rel_err",
+               "largest |fluid - packet| relative time error, any scenario",
+               max(r["rel_err"] for r in rows), group="fluid", unit="frac"),
+        Anchor("fluid_events_saved",
+               "kernel events the fluid legs avoided across all scenarios "
+               "(deterministic)",
+               float(saved), group="fluid", unit="events"),
+    ]
+
+
+def _fluid_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    table = tables.get("fluid")
+    if table is None:
+        return []
+    rows = _rows(table)
+    oneshot = [r for r in rows if r["scenario"].endswith("-oneshot")]
+    large = [r for r in oneshot if r["msg_bytes"] >= LARGE_BYTES]
+    tcp_fanin = [r for r in rows if r["scenario"] == "tcp-fanin"]
+    return [
+        Claim("fluid_large_10x",
+              "every large (>= 1 MiB) one-shot transfer needs >= 10x "
+              "fewer kernel events in fluid mode",
+              all(r["event_ratio"] is not None and r["event_ratio"] >= 10
+                  for r in large) and bool(large), "fluid"),
+        Claim("fluid_oneshot_exact",
+              "one-shot transfers are bit-compatible: fluid time within "
+              "float noise (rel_err <= 1e-9) of the packet time",
+              all(r["rel_err"] <= 1e-9 for r in oneshot), "fluid"),
+        Claim("fluid_within_band",
+              "every scenario — streams, SocketVIA fan-in, and TCP "
+              "fan-in included — lands within the comparator's 5% band "
+              "of the packet truth",
+              all(r["rel_err"] <= 0.05 for r in rows), "fluid"),
+        Claim("fluid_tcp_fanin_bounded",
+              "tcp-fanin, the band's closest call (receiver-kernel "
+              "occupancy recovers most but not all rx interleaving), "
+              "stays optimistic but bounded: packet/2 <= fluid <= packet",
+              all(0.5 * r["t_packet_us"] <= r["t_fluid_us"]
+                  <= r["t_packet_us"] for r in tcp_fanin)
+              and bool(tcp_fanin), "fluid"),
+        Claim("fluid_never_slower",
+              "no scenario processes more kernel events in fluid mode "
+              "than in packet mode",
+              all(r["events_fluid"] <= r["events_packet"] for r in rows),
+              "fluid"),
+    ]
+
+
+BENCH_SUITES = (
+    BenchSuite("fluid", "Fluid-flow vs packet: transfer fidelity and "
+               "event economy", (Panel("fluid", "~5 s", run=fluid_suite),),
+               _fluid_anchors, _fluid_claims),
+)

@@ -13,7 +13,7 @@ Three experiments, each on a fresh two-node cluster:
 
 All functions build their own simulator and are deterministic.
 
-The module also hosts the **kernel throughput suite**
+The module also declares the **kernel throughput suite**
 (:func:`kernel_suite`, ``python -m repro bench run kernel``): seven
 workloads exercising the simulation kernel itself — timeout chains,
 process ping-pong, store churn, a TCP-style retransmit timer wheel,
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bench.records import ExperimentTable
+from repro.bench.suites import Anchor, BenchSuite, Claim, Panel
 from repro.cluster.topology import Cluster
 from repro.net.calibration import VIA_CLAN, get_model
 from repro.net.model import ProtocolCostModel
@@ -60,6 +61,7 @@ __all__ = [
     "kernel_schedule_burst",
     "kernel_timer_flood",
     "kernel_suite",
+    "BENCH_SUITES",
 ]
 
 PORT = 5000
@@ -564,3 +566,75 @@ def kernel_suite(quick: bool = False) -> ExperimentTable:
         "deterministic; wall_s and events_per_sec measure the host and "
         "vary run to run.")
     return table
+
+
+# ---------------------------------------------------------------------------
+# The kernel suite: anchors, claims, and its one meta panel (not a paper
+# figure; gates the event-loop fast path every figure runs on)
+# ---------------------------------------------------------------------------
+
+
+def _kernel_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    table = tables.get("kernel")
+    if table is None:
+        return []
+    idx = table.column("workload").index("TOTAL")
+    total_events = table.column("events")[idx]
+    heap_peak = max(table.column("heap_peak"))
+    eps = table.column("events_per_sec")[idx]
+    pool_hits = table.column("pool_hits")[idx]
+    compactions = table.column("compactions")[idx]
+    return [
+        Anchor("kernel_total_events",
+               "useful events processed across all workloads "
+               "(deterministic)",
+               float(total_events), group="kernel", unit="events"),
+        Anchor("kernel_heap_peak",
+               "largest event heap any workload reached (deterministic)",
+               float(heap_peak), group="kernel", unit="entries"),
+        Anchor("kernel_pool_hits",
+               "events served from the timeout/event free lists "
+               "(deterministic)",
+               float(pool_hits), group="kernel", unit="events"),
+        Anchor("kernel_compactions",
+               "tombstone compaction sweeps across all workloads "
+               "(deterministic)",
+               float(compactions), group="kernel", unit="sweeps"),
+        Anchor("events_per_sec",
+               "aggregate kernel throughput (host-dependent, gated "
+               "warn-only)",
+               float(eps), group="kernel", unit="events/s"),
+    ]
+
+
+def _kernel_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    table = tables.get("kernel")
+    if table is None:
+        return []
+    names = table.column("workload")
+    events = dict(zip(names, table.column("events")))
+    expected = dict(zip(names, table.column("expected_events")))
+    exact = all(events[w] == expected[w] for w in names)
+    return [
+        Claim("event_counts_exact",
+              "every workload processed exactly its closed-form event "
+              "count (cancelled timers contributed zero fired events)",
+              exact, "kernel"),
+        Claim("wheel_cancellation_lazy",
+              "timer-wheel fires only the surviving timer per connection "
+              "despite ~10x as many scheduled-then-cancelled",
+              events.get("timer_wheel") == expected.get("timer_wheel"),
+              "kernel"),
+        Claim("cancelled_deadlines_never_fire",
+              "deadline-cancel workload processed only its live "
+              "survivors",
+              events.get("timer_cancel") == expected.get("timer_cancel"),
+              "kernel"),
+    ]
+
+
+BENCH_SUITES = (
+    BenchSuite("kernel", "Simulation-kernel throughput micro-benchmarks",
+               (Panel("kernel", "~5 s", run=kernel_suite),),
+               _kernel_anchors, _kernel_claims),
+)

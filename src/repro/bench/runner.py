@@ -134,14 +134,14 @@ def run_experiment(
 ) -> BenchRecord:
     """Run one suite and return its :class:`BenchRecord`.
 
-    Figure panels execute through their point-sweep decomposition
-    (``repro.bench.suites.PLANS``) on a
+    Sweep panels execute their point plan
+    (:meth:`repro.bench.suites.Panel.plan`) on a
     :class:`~repro.bench.executor.SweepExecutor` — parallel when
     ``jobs > 1``, memoized when a cache is attached — with the
     per-point trace profiles merged back in deterministic plan order,
     so the record is bit-identical whatever ran the points.  Meta
-    panels with no plan (``kernel``, ``sweep``) run inline and serial:
-    they time the host.
+    panels with no plan (``kernel``, ``sweep``, ``fluid``,
+    ``serve_par``) run inline and serial: they time the host.
 
     Parameters
     ----------
@@ -169,15 +169,15 @@ def run_experiment(
         ``PROFILE_<exp>_<panel>.txt`` (top 20 cumulative lines) there.
     """
     suite: BenchSuite = get_suite(bench_id)
-    selected = tuple(panels) if panels is not None else suite.panels
-    unknown = [p for p in selected if p not in suite.panels]
+    by_id = {panel.panel_id: panel for panel in suite.panels}
+    selected = tuple(panels) if panels is not None else suite.panel_ids
+    unknown = [p for p in selected if p not in by_id]
     if unknown:
         raise KeyError(
-            f"{suite.bench_id} has no panels {unknown}; have {list(suite.panels)}")
+            f"{suite.bench_id} has no panels {unknown}; have {list(by_id)}")
 
     from repro.bench.executor import (SweepExecutor, layers_from_kinds,
                                       merge_kinds)
-    from repro.bench.suites import FIGURES, PLANS
     from repro.sim.flow import effective_sim_mode
 
     own_executor = executor is None
@@ -200,18 +200,17 @@ def run_experiment(
                 profiler = cProfile.Profile()
                 profiler.enable()
             try:
-                plan_fn = PLANS.get(panel)
-                if plan_fn is None:
+                plan = by_id[panel].plan(quick)
+                if plan is None:
                     agg = TraceAggregator()
                     tracer = Tracer()
                     tracer.subscribe("", agg)
                     before = global_events_processed()
                     with tracing(tracer, record=False):
-                        tables[panel] = FIGURES[panel](quick)
+                        tables[panel] = by_id[panel].run(quick)
                     events += global_events_processed() - before
                     kind_parts.append(agg.kinds())
                 else:
-                    plan = plan_fn(quick)
                     results = executor.run(plan.points, progress=progress)
                     tables[panel] = plan.merge([r.value for r in results])
                     events += sum(r.events for r in results)

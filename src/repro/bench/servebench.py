@@ -19,22 +19,30 @@ Both panels decompose into cache-addressable points
 figure sweeps, so ``bench run serve --jobs N`` parallelizes per cell
 and reruns are cache hits.  Every metric is simulated or an event
 count — no wall-clock columns — so the comparator gates the whole
-record exactly.
+record exactly.  The suite's third panel, ``serve_par``, is a meta
+panel timing shard-parallel execution on the host
+(:func:`serve_parallel_benchmark`).
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.apps.serve import ServeConfig, run_serve
 from repro.bench.executor import Point, PointPlan
 from repro.bench.records import ExperimentTable, ratio
+from repro.bench.suites import (
+    Anchor,
+    BenchSuite,
+    Claim,
+    Panel,
+    _rows,
+    _sweep_host_cpus,
+)
 
 __all__ = [
     "serve_cell",
     "serve_scale_cell",
-    "serve_load_sweep",
-    "serve_scale_sweep",
     "serve_points",
     "serve_scale_points",
     "serve_parallel_benchmark",
@@ -46,6 +54,7 @@ __all__ = [
     "SERVE_SEED",
     "SERVE_PAR_HOSTS",
     "SERVE_PAR_JOBS",
+    "BENCH_SUITES",
 ]
 
 #: Load panel cluster width (>= 256 hosts per the acceptance bar).
@@ -153,29 +162,6 @@ def _serve_row(arrival: str, rate: float, sv: List[float],
             sv[2], tcp[2], sv[3], tcp[3], sv[4], tcp[4]]
 
 
-def serve_load_sweep(
-    hosts: int = SERVE_HOSTS,
-    rates=None,
-    bursty_rates=None,
-    horizon: float = SERVE_HORIZON,
-    seed: int = SERVE_SEED,
-) -> ExperimentTable:
-    """The ``serve`` panel, serial path."""
-    axis = _serve_axis(rates or SERVE_RATES,
-                       SERVE_BURSTY_RATES if bursty_rates is None
-                       else bursty_rates)
-    table = _serve_table()
-    for arrival, rate in axis:
-        cells = {
-            proto: serve_cell(proto, hosts, rate, horizon, arrival, seed)
-            for proto in _PROTOCOLS
-        }
-        table.add_row(*_serve_row(arrival, rate,
-                                  cells["socketvia"], cells["tcp"]))
-    table.add_note(_SERVE_NOTE)
-    return table
-
-
 def serve_points(
     hosts: int = SERVE_HOSTS,
     rates=None,
@@ -188,7 +174,7 @@ def serve_points(
                        SERVE_BURSTY_RATES if bursty_rates is None
                        else bursty_rates)
     points = [
-        Point("serve", "serve_cell",
+        Point("serve", serve_cell,
               {"protocol": proto, "hosts": int(hosts),
                "rate_per_shard": rate, "horizon": float(horizon),
                "arrival": arrival, "seed": int(seed)})
@@ -207,28 +193,6 @@ def serve_points(
     return PointPlan("serve", points, merge)
 
 
-def serve_scale_sweep(
-    hosts_axis=None,
-    rate_per_shard: float = SERVE_SCALE_RATE,
-    horizon: float = SERVE_SCALE_HORIZON,
-    seed: int = SERVE_SEED,
-) -> ExperimentTable:
-    """The ``serve_scale`` panel, serial path."""
-    hosts_axis = [int(h) for h in (hosts_axis or SERVE_SCALE_HOSTS)]
-    table = _scale_table()
-    for hosts in hosts_axis:
-        cells = {
-            proto: serve_scale_cell(proto, hosts, rate_per_shard,
-                                    horizon, "poisson", seed)
-            for proto in _PROTOCOLS
-        }
-        table.add_row(hosts, hosts // 2,
-                      cells["socketvia"][0], cells["tcp"][0],
-                      cells["socketvia"][1], cells["tcp"][1])
-    table.add_note(_SCALE_NOTE)
-    return table
-
-
 def serve_scale_points(
     hosts_axis=None,
     rate_per_shard: float = SERVE_SCALE_RATE,
@@ -238,7 +202,7 @@ def serve_scale_points(
     """The ``serve_scale`` panel as one point per (width, protocol)."""
     hosts_axis = [int(h) for h in (hosts_axis or SERVE_SCALE_HOSTS)]
     points = [
-        Point("serve_scale", "serve_scale_cell",
+        Point("serve_scale", serve_scale_cell,
               {"protocol": proto, "hosts": hosts,
                "rate_per_shard": float(rate_per_shard),
                "horizon": float(horizon), "arrival": "poisson",
@@ -350,3 +314,196 @@ def serve_parallel_benchmark(quick: bool = False) -> ExperimentTable:
         "speedup_parallel is bounded by the cores the host grants — "
         "regenerate on a >=4-core host for the parallelism headline")
     return table
+
+
+# ---------------------------------------------------------------------------
+# The serve suite: anchors, claims, and panels
+# ---------------------------------------------------------------------------
+
+
+def _serve_poisson_cell(table: ExperimentTable, rate: float, col: str):
+    """Cell lookup on the load panel's Poisson rows by rate."""
+    for row in _rows(table):
+        if row["arrival"] == "poisson" and row["rate_per_shard"] == rate:
+            return row[col]
+    return None
+
+
+def _serve_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    anchors: List[Anchor] = []
+    load = tables.get("serve")
+    if load is not None:
+        rates = [r["rate_per_shard"] for r in _rows(load)
+                 if r["arrival"] == "poisson"]
+        low, top = min(rates), max(rates)
+        anchors += [
+            Anchor("serve_sv_top_qps",
+                   "SocketVIA sustained throughput at the top Poisson "
+                   "load (deterministic)",
+                   _serve_poisson_cell(load, top, "SocketVIA_qps"),
+                   group="serve", unit="q/s"),
+            Anchor("serve_tcp_top_qps",
+                   "TCP sustained throughput at the top Poisson load "
+                   "(deterministic)",
+                   _serve_poisson_cell(load, top, "TCP_qps"),
+                   group="serve", unit="q/s"),
+            Anchor("serve_sv_p99_light_ms",
+                   "SocketVIA p99 latency at the lightest Poisson load "
+                   "(deterministic)",
+                   _serve_poisson_cell(load, low, "SocketVIA_p99_ms"),
+                   group="serve", unit="ms"),
+            Anchor("serve_tcp_p99_light_ms",
+                   "TCP p99 latency at the lightest Poisson load "
+                   "(deterministic)",
+                   _serve_poisson_cell(load, low, "TCP_p99_ms"),
+                   group="serve", unit="ms"),
+            Anchor("serve_tcp_top_drop_rate",
+                   "TCP drop rate at the top Poisson load "
+                   "(deterministic)",
+                   _serve_poisson_cell(load, top, "TCP_drop_rate"),
+                   group="serve", unit="frac"),
+        ]
+    scale = tables.get("serve_scale")
+    if scale is not None:
+        spreads = []
+        for col in ("SocketVIA_ev_per_query", "TCP_ev_per_query"):
+            vals = [v for v in scale.column(col) if v]
+            if vals:
+                spreads.append(max(vals) / min(vals))
+        anchors.append(Anchor(
+            "serve_scale_max_spread",
+            "worst max/min events-per-query spread across cluster "
+            "widths, either transport (deterministic; bar is 1.10)",
+            max(spreads) if spreads else None,
+            group="serve_scale", unit="x"))
+    par = tables.get("serve_par")
+    if par is not None:
+        row = _rows(par)[0]
+        # Dotted keys: the comparator gates the wall-clock tails
+        # (``*_s`` / ``speedup_*``) warn-only.
+        for col in ("single_s", "parallel_s", "warm_s",
+                    "speedup_parallel", "speedup_cache"):
+            anchors.append(Anchor(
+                f"serve_par.{col}",
+                f"shard-parallel serving {col} (host wall clock, "
+                "warn-only)",
+                None if row[col] is None else float(row[col]),
+                group="serve_par",
+                unit="s" if col.endswith("_s") else "x"))
+        anchors += [
+            Anchor("serve_par_points",
+                   "shard chunks the parallel legs executed "
+                   "(deterministic: a function of the shard count only)",
+                   float(row["points"]), group="serve_par", unit="points"),
+            Anchor("serve_par_events",
+                   "kernel events summed over the shard chunks "
+                   "(deterministic)",
+                   float(row["events"]), group="serve_par", unit="events"),
+        ]
+    return anchors
+
+
+def _serve_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    claims: List[Claim] = []
+    load = tables.get("serve")
+    if load is not None:
+        rows = _rows(load)
+        poisson = [r for r in rows if r["arrival"] == "poisson"]
+        rates = [r["rate_per_shard"] for r in poisson]
+        low, top = min(rates), max(rates)
+        top_row = next(r for r in poisson if r["rate_per_shard"] == top)
+        low_row = next(r for r in poisson if r["rate_per_shard"] == low)
+        bursty = [r for r in rows if r["arrival"] == "bursty"]
+        by_key = {(r["arrival"], r["rate_per_shard"]): r for r in rows}
+        tail_pairs = [
+            (by_key[("poisson", r["rate_per_shard"])], r)
+            for r in bursty
+            if ("poisson", r["rate_per_shard"]) in by_key
+        ]
+        claims += [
+            Claim("serve_open_loop",
+                  "both transports face the identical offered schedule "
+                  "in every row (the generator is open-loop)",
+                  all(r["offered_sv"] == r["offered_tcp"] for r in rows),
+                  "serve"),
+            Claim("serve_sv_sustains_more",
+                  "at the top offered load SocketVIA sustains at least "
+                  "TCP's throughput with no higher drop rate",
+                  top_row["SocketVIA_qps"] >= top_row["TCP_qps"]
+                  and top_row["SocketVIA_drop_rate"]
+                  <= top_row["TCP_drop_rate"], "serve"),
+            Claim("serve_no_drops_light",
+                  "at the lightest load neither transport drops a query",
+                  low_row["SocketVIA_drop_rate"] == 0.0
+                  and low_row["TCP_drop_rate"] == 0.0, "serve"),
+            Claim("serve_tcp_overloads_first",
+                  "the load axis crosses TCP's capacity knee: TCP drops "
+                  "queries at the top load",
+                  top_row["TCP_drop_rate"] > 0.0, "serve"),
+            Claim("serve_p99_grows_with_load",
+                  "for both transports p99 at the top Poisson load "
+                  "exceeds p99 at the lightest (congestion is visible)",
+                  top_row["SocketVIA_p99_ms"] > low_row["SocketVIA_p99_ms"]
+                  and top_row["TCP_p99_ms"] > low_row["TCP_p99_ms"],
+                  "serve"),
+            Claim("serve_bursty_worse_tail",
+                  "at equal mean rate, bursty (MMPP) arrivals never "
+                  "improve the p99 tail of either transport",
+                  all(b["SocketVIA_p99_ms"] >= p["SocketVIA_p99_ms"]
+                      and b["TCP_p99_ms"] >= p["TCP_p99_ms"]
+                      for p, b in tail_pairs) and bool(tail_pairs),
+                  "serve"),
+        ]
+    scale = tables.get("serve_scale")
+    if scale is not None:
+        flat = True
+        for col in ("SocketVIA_ev_per_query", "TCP_ev_per_query"):
+            vals = [v for v in scale.column(col) if v]
+            if not vals or max(vals) / min(vals) > 1.10:
+                flat = False
+        claims.append(Claim(
+            "serve_scale_flat",
+            "events per completed query stay within a 1.10x spread as "
+            "the cluster grows (per-event cost independent of width)",
+            flat, "serve_scale"))
+    par = tables.get("serve_par")
+    if par is not None:
+        row = _rows(par)[0]
+        cpus = _sweep_host_cpus(par)
+        claims += [
+            Claim("serve_par_digest_identical",
+                  "the sharded runs (parallel cold and fully cached) "
+                  "merge to the exact single-process ServeResult — "
+                  "identical sha256 digest over counts and every "
+                  "float-exact latency sample",
+                  row["identical"] == "yes", "serve_par"),
+            Claim("serve_par_warm_hits_full",
+                  "the cached rerun hit the chunk cache on every point",
+                  row["warm_hits"] == row["points"], "serve_par"),
+            Claim("serve_par_3x_when_cores_allow",
+                  "--jobs 4 sharded run >= 3x faster than the single "
+                  "process (vacuous on hosts with fewer than 4 CPUs — "
+                  "parallelism is core-bound)",
+                  (cpus is not None and cpus < 4)
+                  or (row["speedup_parallel"] is not None
+                      and row["speedup_parallel"] >= 3), "serve_par"),
+        ]
+    return claims
+
+
+BENCH_SUITES = (
+    BenchSuite("serve", "Open-loop multi-tenant serving: capacity, "
+               "SLO latency, and drops vs offered load", (
+        # Quick mode shrinks the cluster and horizon — CI's suite-smoke
+        # job runs exactly those axes.
+        Panel("serve", "~1 min", serve_points,
+              quick_kwargs={"hosts": 64, "rates": [200.0, 800.0],
+                            "bursty_rates": [800.0], "horizon": 0.02}),
+        # Quick widths start at 32 hosts: narrower clusters amortize
+        # the per-shard setup over too few queries for the flatness
+        # claim to be meaningful at a short horizon.
+        Panel("serve_scale", "~30 s", serve_scale_points,
+              quick_kwargs={"hosts_axis": [32, 64], "horizon": 0.03}),
+        Panel("serve_par", "~2 min", run=serve_parallel_benchmark),
+    ), _serve_anchors, _serve_claims),
+)

@@ -23,16 +23,15 @@ wall-clock columns — so the comparator gates the whole record.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.apps.tails import TailsConfig, run_tails
 from repro.bench.executor import Point, PointPlan
-from repro.bench.records import ExperimentTable
+from repro.bench.records import ExperimentTable, ratio
+from repro.bench.suites import Anchor, BenchSuite, Claim, Panel, _rows
 
 __all__ = [
     "tails_cell",
-    "tls_sweep",
-    "tlc_sweep",
     "tls_points",
     "tlc_points",
     "TAILS_PLANS",
@@ -41,6 +40,7 @@ __all__ = [
     "TAILS_QUERIES",
     "TAILS_RATE",
     "TAILS_SEED",
+    "BENCH_SUITES",
 ]
 
 #: Fault plans the panels sweep (presets in ``repro.faults.presets``).
@@ -141,55 +141,13 @@ def _points(plans, ks, n_workers, n_queries, rate, seed) -> List[Point]:
     # Both panels share one point per cell (figure id "tls"), so the
     # ``tlc`` plan resolves entirely from ``tls``'s cache entries.
     return [
-        Point("tls", "tails_cell",
+        Point("tls", tails_cell,
               {"protocol": proto, "plan": plan, "k": int(k),
                "n_workers": int(n_workers), "n_queries": int(n_queries),
                "rate": float(rate), "seed": int(seed)})
         for plan, k in _axis(plans, ks)
         for proto in _PROTOCOLS
     ]
-
-
-def tls_sweep(
-    plans=TAILS_PLANS,
-    ks=TAILS_KS,
-    n_workers: int = TAILS_WORKERS,
-    n_queries: int = TAILS_QUERIES,
-    rate: float = TAILS_RATE,
-    seed: int = TAILS_SEED,
-) -> ExperimentTable:
-    """The ``tls`` panel, serial path."""
-    table = _tls_table()
-    for plan, k in _axis(plans, ks):
-        cells = {
-            proto: tails_cell(proto, plan, k, n_workers, n_queries,
-                              rate, seed)
-            for proto in _PROTOCOLS
-        }
-        table.add_row(*_tls_row(plan, k, cells["socketvia"], cells["tcp"]))
-    table.add_note(_TLS_NOTE)
-    return table
-
-
-def tlc_sweep(
-    plans=TAILS_PLANS,
-    ks=TAILS_KS,
-    n_workers: int = TAILS_WORKERS,
-    n_queries: int = TAILS_QUERIES,
-    rate: float = TAILS_RATE,
-    seed: int = TAILS_SEED,
-) -> ExperimentTable:
-    """The ``tlc`` panel, serial path."""
-    table = _tlc_table()
-    for plan, k in _axis(plans, ks):
-        cells = {
-            proto: tails_cell(proto, plan, k, n_workers, n_queries,
-                              rate, seed)
-            for proto in _PROTOCOLS
-        }
-        table.add_row(*_tlc_row(plan, k, cells["socketvia"], cells["tcp"]))
-    table.add_note(_TLC_NOTE)
-    return table
 
 
 def tls_points(
@@ -236,3 +194,126 @@ def tlc_points(
         return table
 
     return PointPlan("tlc", points, merge)
+
+
+# ---------------------------------------------------------------------------
+# The tails suite: anchors, claims, and panels
+# ---------------------------------------------------------------------------
+
+
+def _tails_cell(table: ExperimentTable, plan: str, k: int, col: str):
+    for row in _rows(table):
+        if row["plan"] == plan and row["k"] == k:
+            return row[col]
+    return None
+
+
+def _tails_anchors(tables: Dict[str, ExperimentTable]) -> List[Anchor]:
+    anchors: List[Anchor] = []
+    tls = tables.get("tls")
+    if tls is not None:
+        k1 = _tails_cell(tls, "straggler", 1, "TCP_p999_ms")
+        k2 = _tails_cell(tls, "straggler", 2, "TCP_p999_ms")
+        sv1 = _tails_cell(tls, "straggler", 1, "SocketVIA_p999_ms")
+        sv2 = _tails_cell(tls, "straggler", 2, "SocketVIA_p999_ms")
+        anchors += [
+            Anchor("tails_tcp_p999_k1_ms",
+                   "TCP p999 query latency under the straggler preset, "
+                   "unreplicated (deterministic)",
+                   k1, group="tls", unit="ms"),
+            Anchor("tails_tcp_p999_k2_ms",
+                   "TCP p999 query latency under the straggler preset "
+                   "with k=2 hedged replication (deterministic)",
+                   k2, group="tls", unit="ms"),
+            Anchor("tails_tcp_p999_cut",
+                   "k=2 p999 cut under stragglers, TCP (gate is >= 2x)",
+                   ratio(k1, k2), group="tls", unit="x"),
+            Anchor("tails_sv_p999_cut",
+                   "k=2 p999 cut under stragglers, SocketVIA",
+                   ratio(sv1, sv2), group="tls", unit="x"),
+        ]
+    tlc = tables.get("tlc")
+    if tlc is not None:
+        w1 = _tails_cell(tlc, "none", 1, "TCP_work_ms")
+        w2 = _tails_cell(tlc, "none", 2, "TCP_work_ms")
+        anchors += [
+            Anchor("tails_overhead_ratio",
+                   "no-fault executed-work ratio k=2 over k=1, TCP "
+                   "(gate is <= 1.15x)",
+                   ratio(w2, w1), group="tlc", unit="x"),
+        ]
+    return anchors
+
+
+def _tails_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
+    claims: List[Claim] = []
+    tls = tables.get("tls")
+    if tls is not None:
+        tcp1 = _tails_cell(tls, "straggler", 1, "TCP_p999_ms")
+        tcp2 = _tails_cell(tls, "straggler", 2, "TCP_p999_ms")
+        sv1 = _tails_cell(tls, "straggler", 1, "SocketVIA_p999_ms")
+        sv2 = _tails_cell(tls, "straggler", 2, "SocketVIA_p999_ms")
+        claims += [
+            Claim("tails_tcp_p999_2x",
+                  "k=2 hedged replication cuts the TCP p999 under the "
+                  "straggler preset by >= 2x",
+                  tcp1 is not None and tcp2 is not None
+                  and tcp1 >= 2.0 * tcp2, "tls"),
+            Claim("tails_sv_p999_2x",
+                  "k=2 hedged replication cuts the SocketVIA p999 "
+                  "under the straggler preset by >= 2x",
+                  sv1 is not None and sv2 is not None
+                  and sv1 >= 2.0 * sv2, "tls"),
+        ]
+    tlc = tables.get("tlc")
+    if tlc is not None:
+        rows = _rows(tlc)
+        overhead_ok = True
+        for col in ("SocketVIA_work_ms", "TCP_work_ms"):
+            w1 = _tails_cell(tlc, "none", 1, col)
+            w2 = _tails_cell(tlc, "none", 2, col)
+            if w1 is None or w2 is None or w2 > 1.15 * w1:
+                overhead_ok = False
+        claims += [
+            Claim("tails_overhead_115",
+                  "hedged k=2 costs <= 1.15x the unreplicated executed "
+                  "work in the no-fault case, both transports",
+                  overhead_ok, "tlc"),
+            Claim("tails_conservation_exact",
+                  "replica conservation is exact in every cell: "
+                  "completed == dispatched - retracted, both transports",
+                  bool(rows) and all(
+                      r[f"{p}_completed"]
+                      == r[f"{p}_dispatched"] - r[f"{p}_retracted"]
+                      for r in rows for p in ("SocketVIA", "TCP")),
+                  "tlc"),
+            Claim("tails_replication_engages",
+                  "replication actually engages under stragglers: some "
+                  "k=2 replicas are retracted (first finisher won), "
+                  "and unreplicated rows retract none",
+                  all(r[f"{p}_retracted"] == 0
+                      for r in rows for p in ("SocketVIA", "TCP")
+                      if r["k"] == 1)
+                  and any(r[f"{p}_retracted"] > 0
+                          for r in rows for p in ("SocketVIA", "TCP")
+                          if r["k"] >= 2 and r["plan"] == "straggler"),
+                  "tlc"),
+        ]
+    return claims
+
+
+BENCH_SUITES = (
+    BenchSuite("tails", "Replicated dispatch for tail latency: "
+               "percentiles and conservation under straggler plans", (
+        # Both panels share one point per cell, so tlc resolves from
+        # tls's cache entries.  Quick mode drops k=3 and shrinks the
+        # query schedule — CI's suite-smoke job runs exactly those
+        # axes; the straggler preset's fault windows repeat every
+        # 25 ms, so the quick horizon (~37 ms) still sees both
+        # straggler mechanisms.
+        Panel("tls", "~10 s", tls_points,
+              quick_kwargs={"ks": [1, 2], "n_queries": 120}),
+        Panel("tlc", "~1 s", tlc_points,
+              quick_kwargs={"ks": [1, 2], "n_queries": 120}),
+    ), _tails_anchors, _tails_claims),
+)

@@ -3,15 +3,16 @@
 Commands
 --------
 ``figure <id>``
-    Regenerate one paper figure (4a, 4b, 7a, 7b, 8a, 8b, 9a, 9b, 10,
-    11) and print its table.  ``--quick`` shrinks the axes.
+    Regenerate one panel — a paper figure (4a, 4b, 7a, 7b, 8a, 8b, 9a,
+    9b, 10, 11) or any other panel ``list`` prints — and print its
+    table.  ``--quick`` shrinks the axes.
 ``microbench``
     Both Figure-4 panels (alias for ``figure 4a`` + ``figure 4b``).
 ``calibration``
     Show the calibrated cost-model parameters next to the paper's
     targets.
-``trace <figure>``
-    Run a figure (quick axes by default) with cross-layer trace
+``trace <id>``
+    Run a panel (quick axes by default) with cross-layer trace
     recording on and print per-kind counts, the layers covered, and a
     sample of records.
 ``serve``
@@ -34,37 +35,39 @@ Commands
     Inspect or empty the content-addressed point-result cache under
     ``benchmarks/cache/``.
 ``list``
-    List available figures with their runtime class.
+    List the available panels with their runtime class.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from repro._version import __version__
 
 __all__ = ["main"]
 
 
-def _figure_registry() -> Dict[str, Callable]:
-    from repro.bench.suites import FIGURES
+def _panel(panel_id: str):
+    """The declared panel, or None after reporting an unknown id."""
+    from repro.bench.suites import get_panel
 
-    return FIGURES
+    try:
+        return get_panel(panel_id)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     from repro.sim.flow import simulation_mode
 
-    registry = _figure_registry()
-    fig_id = args.id.lower().lstrip("fig")
-    if fig_id not in registry:
-        print(f"unknown figure {args.id!r}; have {sorted(registry)}",
-              file=sys.stderr)
+    panel = _panel(args.id)
+    if panel is None:
         return 2
     with simulation_mode(getattr(args, "mode", None)):
-        table = registry[fig_id](args.quick)
+        table = panel.table(args.quick)
     print(table.render())
     if args.save:
         path = table.save(args.save)
@@ -105,14 +108,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.trace import layer_of as _trace_layer
     from repro.sim.trace import tracing
 
-    registry = _figure_registry()
-    fig_id = args.id.lower().lstrip("fig")
-    if fig_id not in registry:
-        print(f"unknown figure {args.id!r}; have {sorted(registry)}",
-              file=sys.stderr)
+    panel = _panel(args.id)
+    if panel is None:
         return 2
     with tracing() as tracer:
-        table = registry[fig_id](not args.full)
+        table = panel.table(not args.full)
     records = list(tracer.records)
     if args.kind:
         records = [r for r in records
@@ -246,11 +246,12 @@ def cmd_tails(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    from repro.bench.suites import RUNTIME_HINT
+    from repro.bench.suites import get_suite, suite_names
 
+    panels = [p for name in suite_names() for p in get_suite(name).panels]
     print("figures (python -m repro figure <id>):")
-    for fig_id in sorted(_figure_registry()):
-        print(f"  {fig_id:<4} {RUNTIME_HINT.get(fig_id, '')}")
+    for panel in sorted(panels, key=lambda p: p.panel_id):
+        print(f"  {panel.panel_id:<4} {panel.runtime_hint}")
     return 0
 
 
@@ -400,11 +401,12 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
 def cmd_bench_list(_args: argparse.Namespace) -> int:
     from repro.bench import baselines
     from repro.bench.schema import BenchRecord, SchemaError
-    from repro.bench.suites import SUITES
+    from repro.bench.suites import get_suite, suite_names
 
     have = baselines.discover(baselines.baseline_dir())
     print("bench experiments (python -m repro bench run <id>):")
-    for bench_id, suite in sorted(SUITES.items()):
+    for bench_id in suite_names():
+        suite = get_suite(bench_id)
         if bench_id in have:
             try:
                 mode = BenchRecord.load(have[bench_id]).sim_mode
@@ -413,7 +415,7 @@ def cmd_bench_list(_args: argparse.Namespace) -> int:
             marker = f"baseline, mode={mode or 'unrecorded'}"
         else:
             marker = "no baseline"
-        print(f"  {bench_id:<6} panels {'+'.join(suite.panels):<6} "
+        print(f"  {bench_id:<6} panels {'+'.join(suite.panel_ids):<6} "
               f"[{suite.runtime_hint}] ({marker})")
     return 0
 
@@ -457,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_fig = sub.add_parser("figure", help="regenerate one paper figure")
-    p_fig.add_argument("id", help="4a, 4b, 7a, 7b, 8a, 8b, 9a, 9b, 10, 11")
+    p_fig.add_argument("id", help="panel id: a paper figure (4a, 4b, 7a, "
+                                  "7b, 8a, 8b, 9a, 9b, 10, 11) or any "
+                                  "other id 'list' prints, e.g. fluid")
     p_fig.add_argument("--quick", action="store_true", help="reduced axes")
     p_fig.add_argument("--save", metavar="DIR", default=None,
                        help="also write the table to DIR")
@@ -476,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=cmd_calibration)
 
     p_trace = sub.add_parser(
-        "trace", help="run a figure with cross-layer tracing on"
+        "trace", help="run a panel with cross-layer tracing on"
     )
-    p_trace.add_argument("id", help="figure id, e.g. 4a or fig4a")
+    p_trace.add_argument("id", help="panel id, e.g. 4a, fig4a or fluid")
     p_trace.add_argument("--kind", default=None,
                          help="only count/show this kind (prefix match)")
     p_trace.add_argument("--limit", type=int, default=10, metavar="N",
@@ -555,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "env or packet)")
     p_tails.set_defaults(func=cmd_tails)
 
-    p_list = sub.add_parser("list", help="list available figures")
+    p_list = sub.add_parser("list", help="list the available panels")
     p_list.set_defaults(func=cmd_list)
 
     p_bench = sub.add_parser(

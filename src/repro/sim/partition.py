@@ -115,7 +115,7 @@ def serve_shard_points(config: ServeConfig) -> List[Any]:
     return [
         Point(
             "serve_shard",
-            "serve_shard_cell",
+            serve_shard_cell,
             {
                 "protocol": config.protocol,
                 "hosts": int(config.hosts),

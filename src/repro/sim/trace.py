@@ -197,7 +197,7 @@ def tracing(
     Usage::
 
         with tracing() as tracer:
-            figures.fig4a_latency()          # clusters built here trace
+            figures.fig4a_points().run()     # clusters built here trace
         print(len(tracer.records))
 
     A fresh :class:`Tracer` is created unless one is passed; *record*

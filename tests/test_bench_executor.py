@@ -1,27 +1,32 @@
 """Point-sweep executor, result cache, and their determinism contract.
 
 The heart of this module is the parametrized bit-identity test: for
-every figure panel, the table merged from the point decomposition —
-serial, parallel (``jobs=2``), or replayed from the cache — must equal
-the serial driver's table exactly, not approximately.  The remaining
-tests cover the cache key anatomy (params / code-fingerprint
-sensitivity), the run context every key and worker spec carries, LRU
-eviction, corrupt-entry handling, ``git_sha``'s
-quiet fallback, record-level equality through ``run_experiment``, and
-the ``bench run --jobs`` / ``bench cache`` CLI plumbing.
+every figure panel, the table merged from the point decomposition on a
+``jobs=2`` process pool must equal the plan's in-process
+:meth:`~repro.bench.executor.PointPlan.run` exactly, not
+approximately; cache replays must equal the cold run the same way.
+The remaining tests cover the cache key anatomy (params /
+code-fingerprint sensitivity), the run context every key and worker
+spec carries, LRU eviction, corrupt-entry handling, ``git_sha``'s
+quiet fallback, record-level equality through ``run_experiment``, the
+integrity of the declared suites, and the ``bench run --jobs`` /
+``bench cache`` CLI plumbing.
 """
 
 import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
+import sys
+import types
 
 import pytest
 
 from repro.bench import cache as cache_mod
 from repro.bench import executor as executor_mod
-from repro.bench import figures, servebench, tailsbench, wancachebench
+from repro.bench import figures, servebench, suites, tailsbench, wancachebench
 from repro.bench.cache import ResultCache, RunContext, code_fingerprint
 from repro.bench.executor import (
     Point,
@@ -31,7 +36,7 @@ from repro.bench.executor import (
     resolve_jobs,
 )
 from repro.bench.runner import git_sha, run_experiment
-from repro.bench.suites import FIGURES, PLANS, get_suite
+from repro.bench.suites import BenchSuite, Panel, get_panel, get_suite, suite_names
 from repro.cli import main
 from repro.faults.plan import FaultPlan, HostFault, injecting
 from repro.sim.flow import resolve_sim_mode, simulation_mode
@@ -39,65 +44,68 @@ from repro.sim.flow import resolve_sim_mode, simulation_mode
 #: Tiny axes per panel: enough to exercise every decomposition shape
 #: (drop-outs, dedup, multi-column rows) while staying fast.
 CASES = {
-    "2": (figures.fig2_message_size_economics, figures.fig2_points, {}),
-    "4a": (figures.fig4a_latency, figures.fig4a_points,
-           {"sizes": [4, 64]}),
-    "4b": (figures.fig4b_bandwidth, figures.fig4b_points,
-           {"sizes": [1024, 4096]}),
+    "2": (figures.fig2_points, {}),
+    "4a": (figures.fig4a_points, {"sizes": [4, 64]}),
+    "4b": (figures.fig4b_points, {"sizes": [1024, 4096]}),
     # rate 4.0 is infeasible for TCP -> exercises the None drop-out path
-    "7a": (figures.fig7_update_rate_guarantee, figures.fig7_points,
+    "7a": (figures.fig7_points,
            {"compute_ns_per_byte": 0.0, "rates": [4.0], "frames": 2}),
-    "7b": (figures.fig7_update_rate_guarantee, figures.fig7_points,
+    "7b": (figures.fig7_points,
            {"compute_ns_per_byte": 18.0, "rates": [2.0], "frames": 2}),
-    "8a": (figures.fig8_latency_guarantee, figures.fig8_points,
+    "8a": (figures.fig8_points,
            {"compute_ns_per_byte": 0.0, "bounds_us": [1000], "frames": 2}),
-    "8b": (figures.fig8_latency_guarantee, figures.fig8_points,
+    "8b": (figures.fig8_points,
            {"compute_ns_per_byte": 18.0, "bounds_us": [400], "frames": 2}),
-    "9a": (figures.fig9_query_mix, figures.fig9_points,
+    "9a": (figures.fig9_points,
            {"compute_ns_per_byte": 0.0, "fractions": [0.6],
             "partitions": (1, 8), "n_queries": 2}),
-    "9b": (figures.fig9_query_mix, figures.fig9_points,
+    "9b": (figures.fig9_points,
            {"compute_ns_per_byte": 18.0, "fractions": [1.0],
             "partitions": (1,), "n_queries": 2}),
-    "10": (figures.fig10_rr_reaction, figures.fig10_points,
-           {"factors": [2], "total_bytes": 1 << 20}),
-    "11": (figures.fig11_dd_heterogeneity, figures.fig11_points,
+    "10": (figures.fig10_points, {"factors": [2], "total_bytes": 1 << 20}),
+    "11": (figures.fig11_points,
            {"probabilities": [0.5], "factors": [2], "total_bytes": 1 << 19}),
     # chaos panels: the fault plan rides inside each point's params, so
     # the same bit-identity contract must hold under injected faults.
-    "c8": (figures.chaos8_update_rate, figures.chaos8_points,
-           {"bounds_us": [1000], "frames": 2}),
+    "c8": (figures.chaos8_points, {"bounds_us": [1000], "frames": 2}),
     # 2 MB keeps the run long enough for the worker01 restart to land.
-    "c11": (figures.chaos11_crash_recovery, figures.chaos11_points,
+    "c11": (figures.chaos11_points,
             {"probabilities": [0.5], "total_bytes": 2 * 1024 * 1024}),
     # serve panels: the open-loop schedule is drawn per point, so the
     # same bit-identity contract covers workload generation too.  8
     # hosts, not 4: with only two bursty tenants the MMPP sources can
     # sit "off" for the whole window and serve no queries at all.
-    "serve": (servebench.serve_load_sweep, servebench.serve_points,
+    "serve": (servebench.serve_points,
               {"hosts": 8, "rates": [300.0], "bursty_rates": [600.0],
                "horizon": 0.02}),
-    "serve_scale": (servebench.serve_scale_sweep,
-                    servebench.serve_scale_points,
+    "serve_scale": (servebench.serve_scale_points,
                     {"hosts_axis": [4, 8], "horizon": 0.02}),
     # wancache panels: the cache temperature and stripe width ride in
     # the point params, so warm-cache hits and multi-stream reassembly
     # fall under the same bit-identity contract.
-    "wcq": (wancachebench.wcq_sweep, wancachebench.wcq_points,
+    "wcq": (wancachebench.wcq_points,
             {"temperatures": ["cold", "hot"], "widths": [1, 2],
              "n_blocks": 16, "blocks_per_query": 4, "n_queries": 2}),
-    "wcb": (wancachebench.wcb_sweep, wancachebench.wcb_points,
+    "wcb": (wancachebench.wcb_points,
             {"widths": [1, 2], "n_blocks": 12,
              "block_bytes": 64 * 1024}),
     # tails panels: replicated dispatch + fault plans ride in the point
     # params, and tlc shares tls's cache entries — both the retraction
     # machinery and the cross-panel point reuse must stay bit-identical
-    # across serial / jobs=2 / cached execution.
-    "tls": (tailsbench.tls_sweep, tailsbench.tls_points,
-            {"ks": [1, 2], "n_queries": 60}),
-    "tlc": (tailsbench.tlc_sweep, tailsbench.tlc_points,
-            {"ks": [1, 2], "n_queries": 60}),
+    # across in-process / jobs=2 / cached execution.
+    "tls": (tailsbench.tls_points, {"ks": [1, 2], "n_queries": 60}),
+    "tlc": (tailsbench.tlc_points, {"ks": [1, 2], "n_queries": 60}),
 }
+
+
+def _context_probe():
+    """Point fn: the run context the point executes under."""
+    return RunContext.current().to_dict()
+
+
+def _mode_probe(i):
+    """Point fn: the simulation mode the point executes under."""
+    return resolve_sim_mode()
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +123,8 @@ def pool2():
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize("panel", sorted(CASES))
     def test_bit_identical(self, panel, pool2):
-        serial_fn, points_fn, kwargs = CASES[panel]
-        expected = serial_fn(**kwargs).to_dict()
+        points_fn, kwargs = CASES[panel]
+        expected = points_fn(**kwargs).run().to_dict()
         assert pool2.table(points_fn(**kwargs)).to_dict() == expected
 
     def test_merge_independent_of_completion_order(self):
@@ -127,8 +135,7 @@ class TestParallelMatchesSerial:
         outs = [execute_point((p.figure, p.fn, dict(p.params), context))
                 for p in reversed(plan.points)]
         values = [o["value"] for o in reversed(outs)]
-        expected = figures.fig4a_latency(sizes=[4, 64, 256]).to_dict()
-        assert plan.merge(values).to_dict() == expected
+        assert plan.merge(values).to_dict() == plan.run().to_dict()
 
 
 class TestModesMatchPacket:
@@ -142,16 +149,16 @@ class TestModesMatchPacket:
     @pytest.mark.parametrize("panel", PANELS)
     @pytest.mark.parametrize("mode", ["fluid"])
     def test_serial_bit_identical_across_modes(self, panel, mode):
-        serial_fn, _, kwargs = CASES[panel]
-        expected = serial_fn(**kwargs).to_dict()
+        points_fn, kwargs = CASES[panel]
+        expected = points_fn(**kwargs).run().to_dict()
         with simulation_mode(mode):
-            assert serial_fn(**kwargs).to_dict() == expected
+            assert points_fn(**kwargs).run().to_dict() == expected
 
     def test_parallel_workers_inherit_fluid_mode(self, pool2):
         # The point spec carries the submitting side's effective mode,
         # so jobs=2 workers replay it — and still match packet output.
-        serial_fn, points_fn, kwargs = CASES["4a"]
-        expected = serial_fn(**kwargs).to_dict()
+        points_fn, kwargs = CASES["4a"]
+        expected = points_fn(**kwargs).run().to_dict()
         with simulation_mode("fluid"):
             assert pool2.table(points_fn(**kwargs)).to_dict() == expected
 
@@ -161,10 +168,10 @@ class TestModesMatchPacket:
         plan = FaultPlan(name="inert", seed=3,
                          hosts={"nope99": HostFault(crash_at=1.0,
                                                     restart_at=2.0)})
-        serial_fn, _, kwargs = CASES["4b"]
-        expected = serial_fn(**kwargs).to_dict()
+        points_fn, kwargs = CASES["4b"]
+        expected = points_fn(**kwargs).run().to_dict()
         with simulation_mode("fluid"), injecting(plan):
-            assert serial_fn(**kwargs).to_dict() == expected
+            assert points_fn(**kwargs).run().to_dict() == expected
 
 
 class TestCacheReplay:
@@ -208,7 +215,7 @@ class TestCacheReplay:
         assert again.value == value
         # ... and the rewritten entry is valid again.
         assert ResultCache(str(tmp_path)).get(
-            cache.key("4a", "fig4a_size", {"size": 4})) is not None
+            cache.key("4a", plan.points[0].fn_name, {"size": 4})) is not None
 
 
 class TestRunExperimentEquality:
@@ -281,8 +288,6 @@ class TestRunContext:
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_field_survives_the_shipped_spec(self, name, monkeypatch):
-        monkeypatch.setitem(figures.POINT_FNS, "context_probe",
-                            lambda: RunContext.current().to_dict())
         specs = []
 
         def spy(spec):
@@ -292,7 +297,7 @@ class TestRunContext:
         monkeypatch.setattr(executor_mod, "execute_point", spy)
         ctx = dataclasses.replace(RunContext(), **{name: NON_DEFAULT[name]})
         with ctx.running():
-            SweepExecutor(jobs=1).run([Point("t", "context_probe")])
+            SweepExecutor(jobs=1).run([Point("t", _context_probe)])
         (spec,) = specs
         # Replayed under the default context, as in a fresh worker.
         with RunContext().running():
@@ -303,9 +308,7 @@ class TestRunContext:
         # Workers inherit REPRO_SIM_MODE=fluid; the submitting side's
         # simulation_mode("packet") must still win, as it does serially.
         monkeypatch.setenv("REPRO_SIM_MODE", "fluid")
-        monkeypatch.setitem(figures.POINT_FNS, "mode_probe",
-                            lambda i: resolve_sim_mode())
-        probes = [Point("t", "mode_probe", {"i": i}) for i in range(2)]
+        probes = [Point("t", _mode_probe, {"i": i}) for i in range(2)]
         with SweepExecutor(jobs=2) as pool:
             assert [r.value for r in pool.run(probes)] == ["fluid"] * 2
             with simulation_mode("packet"):
@@ -445,19 +448,47 @@ class TestMergeKinds:
 
 
 def test_fig2_quick_equals_full():
-    """fig2 is exempt from quick mode by design (documented in
-    ``suites.py``): a closed-form model evaluation with no sweep axes."""
-    assert FIGURES["2"](True).to_dict() == FIGURES["2"](False).to_dict()
+    """fig2 is exempt from quick mode by design (documented on its
+    panel in ``figures.py``): a closed-form model evaluation with no
+    sweep axes."""
+    panel = get_panel("2")
+    assert panel.table(True).to_dict() == panel.table(False).to_dict()
 
 
-def test_every_figure_panel_has_a_plan():
-    for panel in FIGURES:
-        if panel in ("kernel", "sweep", "fluid", "serve_par"):
-            assert PLANS.get(panel) is None
-        else:
-            plan = PLANS[panel](True)
-            assert plan.points, f"panel {panel} decomposed to no points"
-            assert all(p.fn in figures.POINT_FNS for p in plan.points)
+def test_every_declared_panel_is_well_formed():
+    """Every panel the loader returns: a sweep panel's quick plan has
+    points whose functions pickle by reference (pool workers import
+    them); a meta panel has no plan."""
+    for bench_id in suite_names():
+        for panel in get_suite(bench_id).panels:
+            plan = panel.plan(True)
+            if panel.run is not None:
+                assert plan is None, panel.panel_id
+                continue
+            assert plan.points, f"panel {panel.panel_id} has no points"
+            for point in plan.points:
+                assert pickle.loads(pickle.dumps(point.fn)) is point.fn
+
+
+@pytest.fixture
+def fresh_declarations():
+    """Drop the loader's memo around a test that swaps its modules."""
+    suites._declarations.cache_clear()
+    yield
+    suites._declarations.cache_clear()
+
+
+def test_loader_rejects_a_panel_declared_twice(monkeypatch,
+                                               fresh_declarations):
+    for name, suite_id in (("decl_a", "a"), ("decl_b", "b")):
+        module = types.ModuleType(name)
+        module.BENCH_SUITES = (
+            BenchSuite(suite_id, "t", (Panel("p", "?", run=lambda q: None),)),)
+        monkeypatch.setitem(sys.modules, name, module)
+    monkeypatch.setattr(suites, "_DECLARING_MODULES", ("decl_a", "decl_b"))
+    with pytest.raises(ValueError, match="'p' is declared by both "
+                                         "decl_a and decl_b"):
+        get_panel("p")
 
 
 def test_sweep_suite_extractors():

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -106,3 +108,34 @@ class TestFigureExecution:
     def test_save_writes_table(self, tmp_path, capsys):
         assert main(["figure", "10", "--quick", "--save", str(tmp_path)]) == 0
         assert (tmp_path / "fig10.txt").exists()
+
+    def test_every_listed_id_resolves(self, capsys):
+        from repro.bench.suites import get_panel
+
+        assert main(["list"]) == 0
+        ids = [line.split()[0]
+               for line in capsys.readouterr().out.splitlines()[1:]]
+        assert "fluid" in ids
+        for panel_id in ids:
+            assert get_panel(panel_id).panel_id == panel_id
+        # Only a literal leading "fig" is stripped, in any case.
+        assert get_panel("fig10").panel_id == "10"
+        assert get_panel("FIG10").panel_id == "10"
+
+    def test_non_figure_panel_runs(self, capsys):
+        assert main(["figure", "fluid", "--quick"]) == 0
+        assert "fluid" in capsys.readouterr().out
+
+
+class TestTrace:
+    def test_trace_sees_every_layer(self, capsys):
+        # The points must run in this process under the command's
+        # tracer; a per-point tracer would leave it empty.
+        assert main(["trace", "4a"]) == 0
+        summary = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("trace: ")]
+        assert len(summary) == 1
+        match = re.match(r"trace: (\d+) records .* layers: (.*)$", summary[0])
+        assert int(match.group(1)) > 0
+        assert {"cluster", "sockets", "transport"} <= set(
+            match.group(2).split(", "))

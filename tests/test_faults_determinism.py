@@ -38,10 +38,10 @@ FIG11_KW = {"probabilities": [0.5], "factors": [2], "total_bytes": 1 << 20}
 class TestSeededInjection:
     def test_ambient_plan_parallel_matches_serial(self):
         """Same plan + seed: the jobs=2 pool, which reinstalls the
-        shipped ambient plan per worker, equals the serial driver."""
+        shipped ambient plan per worker, equals the in-process run."""
         plan = get_preset("chaos-fig11")
         with injecting(plan):
-            serial = figures.fig11_dd_heterogeneity(**FIG11_KW).to_dict()
+            serial = figures.fig11_points(**FIG11_KW).run().to_dict()
             with SweepExecutor(jobs=2) as executor:
                 parallel = executor.table(
                     figures.fig11_points(**FIG11_KW)).to_dict()
@@ -56,21 +56,21 @@ class TestSeededInjection:
     def test_plan_actually_perturbs_the_run(self):
         """Guard against the hooks degrading to no-ops: the crash plan
         must move the result, not just ride along."""
-        bare = figures.fig11_dd_heterogeneity(**FIG11_KW).to_dict()
+        bare = figures.fig11_points(**FIG11_KW).run().to_dict()
         with injecting(get_preset("chaos-fig11")):
-            faulted = figures.fig11_dd_heterogeneity(**FIG11_KW).to_dict()
+            faulted = figures.fig11_points(**FIG11_KW).run().to_dict()
         assert faulted != bare
 
 
 class TestEmptyPlanIsNoop:
-    @pytest.mark.parametrize("panel_fn,kwargs", [
-        (figures.fig4a_latency, {"sizes": [4, 64]}),
-        (figures.fig10_rr_reaction, {"factors": [2], "total_bytes": 1 << 20}),
+    @pytest.mark.parametrize("points_fn,kwargs", [
+        (figures.fig4a_points, {"sizes": [4, 64]}),
+        (figures.fig10_points, {"factors": [2], "total_bytes": 1 << 20}),
     ])
-    def test_results_bit_identical_to_no_plan(self, panel_fn, kwargs):
-        bare = panel_fn(**kwargs).to_dict()
+    def test_results_bit_identical_to_no_plan(self, points_fn, kwargs):
+        bare = points_fn(**kwargs).run().to_dict()
         with injecting(FaultPlan.empty()):
-            covered = panel_fn(**kwargs).to_dict()
+            covered = points_fn(**kwargs).run().to_dict()
         assert covered == bare
 
     def test_empty_plan_shares_cache_entries(self, tmp_path):

@@ -428,9 +428,9 @@ def _baseline_tables(name):
 
 
 def test_fig02_table_bit_identical_to_baseline():
-    from repro.bench.figures import fig2_message_size_economics
+    from repro.bench.figures import fig2_points
 
-    table = fig2_message_size_economics()
+    table = fig2_points().run()
     assert table.to_dict() == _baseline_tables("fig02")["2"]
 
 
@@ -438,7 +438,7 @@ def test_fig04_quick_cells_bit_identical_to_baseline():
     """The quick axes are a subset of the committed full axes, so every
     quick-run cell must equal the committed value exactly — timeout
     pooling and batched segment scheduling change nothing observable."""
-    from repro.bench.figures import fig4a_latency, fig4b_bandwidth
+    from repro.bench.figures import fig4a_points, fig4b_points
 
     base = _baseline_tables("fig04")
 
@@ -446,13 +446,13 @@ def test_fig04_quick_cells_bit_identical_to_baseline():
         cols = table_dict["columns"]
         return {row[0]: dict(zip(cols, row)) for row in table_dict["rows"]}
 
-    lat = fig4a_latency(sizes=[4, 256, 4096]).to_dict()
+    lat = fig4a_points(sizes=[4, 256, 4096]).run().to_dict()
     committed = rows_by_key(base["4a"])
     for row in lat["rows"]:
         got = dict(zip(lat["columns"], row))
         assert got == committed[row[0]]
 
-    bw = fig4b_bandwidth(sizes=[2048, 16384, 65536]).to_dict()
+    bw = fig4b_points(sizes=[2048, 16384, 65536]).run().to_dict()
     committed = rows_by_key(base["4b"])
     for row in bw["rows"]:
         got = dict(zip(bw["columns"], row))
