@@ -18,7 +18,7 @@ single design decision buys three guarantees at once:
   arrivals because arrivals exist before the first event runs;
 * **bit-identical determinism** — the schedule is a pure function of
   ``(tenants, horizon, seed)``, so serial and ``--jobs N`` executions
-  (and packet vs fluid simulation modes) replay the same offered load;
+  replay the same offered load;
 * **cheap fingerprinting** — :meth:`OpenLoopSchedule.fingerprint`
   hashes the canonical arrival list, which the determinism tests
   compare directly.

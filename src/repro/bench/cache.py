@@ -21,11 +21,9 @@ Key anatomy (SHA-256 over a canonical JSON document)::
 
 Everything a point's result depends on that is *not* in its ``params``
 is ambient run state, and :class:`RunContext` is the one list of it:
-the effective simulation mode (``"packet"`` or ``"fluid"``, so
-packet-mode and fluid-mode results never alias even when their values
-agree) and the ambient :class:`~repro.faults.FaultPlan` (so results
-measured inside ``with injecting(plan):`` can never be confused with
-fault-free ones, or with a different plan's).  The same object is what
+the ambient :class:`~repro.faults.FaultPlan` (so results measured
+inside ``with injecting(plan):`` can never be confused with fault-free
+ones, or with a different plan's).  The same object is what
 :class:`~repro.bench.executor.SweepExecutor` ships to its pool workers,
 so a knob cannot reach the key without reaching the workers, or the
 other way round.  Scenario knobs (cache placement, stripe width,
@@ -65,7 +63,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional
 
 from repro.faults.plan import FaultPlan, active_plan, injecting
-from repro.sim.flow import effective_sim_mode, simulation_mode
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -149,34 +146,30 @@ class RunContext:
     workers run under exactly the state the key records.
     """
 
-    mode: str = "packet"                 # effective simulation mode
     faults: Optional[FaultPlan] = None   # ambient fault plan; None = none
 
     @classmethod
     def current(cls) -> "RunContext":
-        """The context in effect now: the effective mode plus the
-        ambient plan (``None`` when no plan or an empty one is
-        installed — both leave every fault hook off)."""
+        """The context in effect now: the ambient plan (``None`` when
+        no plan or an empty one is installed — both leave every fault
+        hook off)."""
         plan = active_plan()
-        return cls(mode=effective_sim_mode(),
-                   faults=None if plan is None or plan.is_empty else plan)
+        return cls(faults=None if plan is None or plan.is_empty else plan)
 
     @contextmanager
     def running(self) -> Iterator["RunContext"]:
         """Install this context for the duration of the block."""
-        with simulation_mode(self.mode), injecting(self.faults):
+        with injecting(self.faults):
             yield self
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"mode": self.mode,
-                "faults": None if self.faults is None
+        return {"faults": None if self.faults is None
                 else self.faults.to_dict()}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "RunContext":
         faults = d["faults"]
-        return cls(mode=d["mode"],
-                   faults=None if faults is None
+        return cls(faults=None if faults is None
                    else FaultPlan.from_dict(faults))
 
     def fingerprint(self) -> Dict[str, Optional[str]]:
@@ -184,8 +177,7 @@ class RunContext:
         plan's display name never partitions the key (it is not part
         of :meth:`FaultPlan.fingerprint`)."""
         plan = self.faults
-        return {"mode": self.mode,
-                "faults": None if plan is None or plan.is_empty
+        return {"faults": None if plan is None or plan.is_empty
                 else plan.fingerprint()}
 
 

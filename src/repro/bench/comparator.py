@@ -165,13 +165,6 @@ def compare_records(
             f"run, this is a {'quick' if new.quick else 'full'} run "
             "(rerun with matching --quick, or refresh the baseline)")
         return comp
-    if (new.sim_mode is not None and baseline.sim_mode is not None
-            and new.sim_mode != baseline.sim_mode):
-        comp.problems.append(
-            f"simulation-mode mismatch: baseline ran {baseline.sim_mode}, "
-            f"this run {new.sim_mode} (rerun with matching --mode, or "
-            "refresh the baseline)")
-        return comp
 
     # Host timing: warn-only, both at record level and below.
     comp.diffs.append(MetricDiff(

@@ -115,7 +115,7 @@ class PointPlan:
 
     def run(self) -> ExperimentTable:
         """Call every point's function in this process, in plan order,
-        under the ambient mode, fault plan and tracer; then merge."""
+        under the ambient fault plan and tracer; then merge."""
         return self.merge([point.fn(**point.params) for point in self.points])
 
 
@@ -143,8 +143,8 @@ def execute_point(spec: Tuple) -> Dict[str, Any]:
     *spec* is ``(figure, fn, params, context)``: *context* is the
     submitting side's :class:`~repro.bench.cache.RunContext` as a dict,
     reinstalled here so pool workers — separate processes that never
-    saw the parent's ambient state — run under the same mode and fault
-    plan as the serial path, and as the cache key records.
+    saw the parent's ambient state — run under the same fault plan as
+    the serial path, and as the cache key records.
     """
     from repro.bench.runner import TraceAggregator
     from repro.sim.core import global_events_processed
@@ -458,6 +458,6 @@ def _sweep_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
 BENCH_SUITES = (
     BenchSuite("sweep", "Point-sweep executor: serial vs parallel vs "
                "cached wall clock",
-               (Panel("sweep", "~2 min", run=sweep_benchmark),),
+               (Panel("sweep", run=sweep_benchmark),),
                _sweep_anchors, _sweep_claims),
 )

@@ -1183,43 +1183,44 @@ BENCH_SUITES = (
         # it is exempt from quick mode by design: quick and full runs
         # produce the same (instant) table.  Audited by
         # tests/test_bench_executor.py::test_fig2_quick_equals_full.
-        Panel("2", "instant", fig2_points),
+        Panel("2", fig2_points),
     ), _fig02_anchors, _fig02_claims),
     BenchSuite("fig04", "Latency / bandwidth micro-benchmarks (Figure 4)", (
-        Panel("4a", "~1 s", fig4a_points,
+        Panel("4a", fig4a_points,
               quick_kwargs={"sizes": [4, 256, 4096]}),
-        Panel("4b", "~1 s", fig4b_points,
+        Panel("4b", fig4b_points,
               quick_kwargs={"sizes": [2048, 16384, 65536]}),
     ), _fig04_anchors, _fig04_claims),
     BenchSuite("fig07", "Partial-update latency under update-rate "
                "guarantees (Figure 7)", (
-        Panel("7a", "~30 s", fig7_points, {"compute_ns_per_byte": 0.0},
+        Panel("7a", fig7_points, {"compute_ns_per_byte": 0.0},
               {"rates": [4.0, 3.25, 2.0], "frames": 2}),
-        Panel("7b", "~30 s", fig7_points, {"compute_ns_per_byte": 18.0},
+        Panel("7b", fig7_points, {"compute_ns_per_byte": 18.0},
               {"rates": [3.25, 2.0], "frames": 2}),
     )),
     BenchSuite("fig08", "Updates/s under latency guarantees (Figure 8)", (
-        Panel("8a", "~20 s", fig8_points, {"compute_ns_per_byte": 0.0},
+        Panel("8a", fig8_points, {"compute_ns_per_byte": 0.0},
               {"bounds_us": [1000, 400, 100], "frames": 2}),
-        Panel("8b", "~20 s", fig8_points, {"compute_ns_per_byte": 18.0},
+        Panel("8b", fig8_points, {"compute_ns_per_byte": 18.0},
               {"bounds_us": [1000, 400, 200], "frames": 2}),
     )),
     BenchSuite("fig09", "Mixed query types vs response time (Figure 9)", (
-        Panel("9a", "~30 s", fig9_points, {"compute_ns_per_byte": 0.0},
+        Panel("9a", fig9_points, {"compute_ns_per_byte": 0.0},
               {"fractions": [0.0, 0.6, 1.0], "n_queries": 6}),
-        Panel("9b", "~30 s", fig9_points, {"compute_ns_per_byte": 18.0},
+        Panel("9b", fig9_points, {"compute_ns_per_byte": 18.0},
               {"fractions": [0.0, 1.0], "n_queries": 6}),
     )),
     BenchSuite("fig10", "Round-robin reaction time (Figure 10)", (
-        Panel("10", "~1 s", fig10_points,
+        Panel("10", fig10_points,
               quick_kwargs={"factors": [2, 10],
                             "total_bytes": 4 * 1024 * 1024}),
     ), _fig10_anchors, _fig10_claims),
     BenchSuite("fig11", "Demand-driven scheduling under dynamic "
                "slowdown (Figure 11)", (
-        Panel("11", "~4 s", fig11_points,
-              quick_kwargs={"probabilities": [0.1, 0.9], "factors": [2, 8],
-                            "total_bytes": 2 * 1024 * 1024}),
+        # Quick axes are a corner of the full grid (same total_bytes),
+        # so their cells equal the committed baseline's.
+        Panel("11", fig11_points,
+              quick_kwargs={"probabilities": [0.1, 0.9], "factors": [2, 8]}),
     ), claims=_fig11_claims),
     # Chaos panels: Figures 8 and 11 re-measured under the named fault
     # plans in repro.faults.presets, fault-free legs side by side
@@ -1227,9 +1228,9 @@ BENCH_SUITES = (
     # entries).
     BenchSuite("chaos", "Figures 8 and 11 under calibrated fault "
                "plans (fault injection + resilience)", (
-        Panel("c8", "~30 s", chaos8_points, {"compute_ns_per_byte": 18.0},
+        Panel("c8", chaos8_points, {"compute_ns_per_byte": 18.0},
               {"bounds_us": [1000, 200], "frames": 2}),
-        Panel("c11", "~10 s", chaos11_points,
+        Panel("c11", chaos11_points,
               quick_kwargs={"probabilities": [0.1, 0.9],
                             "total_bytes": 2 * 1024 * 1024}),
     ), _chaos_anchors, _chaos_claims),

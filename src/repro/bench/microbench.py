@@ -635,6 +635,6 @@ def _kernel_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
 
 BENCH_SUITES = (
     BenchSuite("kernel", "Simulation-kernel throughput micro-benchmarks",
-               (Panel("kernel", "~5 s", run=kernel_suite),),
+               (Panel("kernel", run=kernel_suite),),
                _kernel_anchors, _kernel_claims),
 )

@@ -133,12 +133,11 @@ def generate_document(records: List[BenchRecord]) -> str:
     for record in sorted(records, key=lambda r: r.experiment):
         axes = "quick" if record.quick else "full"
         seed = record.seed if record.seed is not None else "driver defaults"
-        mode = record.sim_mode or "unrecorded"
         lines += [
             f"## {record.experiment} — {record.title}",
             "",
             f"*schema v{record.schema_version} · git `{record.git_sha}` · "
-            f"{axes} axes · seed: {seed} · mode: {mode} · "
+            f"{axes} axes · seed: {seed} · "
             f"wall {fmt(record.wall_time_s)} s*",
             "",
         ]

@@ -140,8 +140,8 @@ def run_experiment(
     ``jobs > 1``, memoized when a cache is attached — with the
     per-point trace profiles merged back in deterministic plan order,
     so the record is bit-identical whatever ran the points.  Meta
-    panels with no plan (``kernel``, ``sweep``, ``fluid``,
-    ``serve_par``) run inline and serial: they time the host.
+    panels with no plan (``kernel``, ``sweep``, ``serve_par``) run
+    inline and serial: they time the host.
 
     Parameters
     ----------
@@ -178,7 +178,6 @@ def run_experiment(
 
     from repro.bench.executor import (SweepExecutor, layers_from_kinds,
                                       merge_kinds)
-    from repro.sim.flow import effective_sim_mode
 
     own_executor = executor is None
     if own_executor:
@@ -241,6 +240,5 @@ def run_experiment(
         quick=quick,
         wall_time_s=round(wall, 3),
         events_processed=events,
-        sim_mode=effective_sim_mode(),
         schema_version=SCHEMA_VERSION,
     )

@@ -25,15 +25,14 @@ __all__ = ["SCHEMA_VERSION", "BenchRecord", "SchemaError"]
 
 #: Current serialization format.  History: 1 = initial (PR 2);
 #: 2 = adds ``events_processed`` (simulation events the run consumed —
-#: deterministic, unlike ``wall_time_s``); 3 = adds ``sim_mode`` (the
-#: effective simulation mode the run executed under — ``"packet"`` or
-#: ``"fluid"`` — so records from different modes can never be compared
-#: silently).
+#: deterministic, unlike ``wall_time_s``); 3 = added a simulation-mode
+#: field for a second mode that no longer exists.  Records no longer
+#: write that field and readers ignore it, so version-3 files load
+#: with or without it.
 SCHEMA_VERSION = 3
 
 #: Versions :meth:`BenchRecord.from_dict` accepts.  Version-1 records
-#: load with ``events_processed = None``; pre-3 records load with
-#: ``sim_mode = None``.
+#: load with ``events_processed = None``.
 _SUPPORTED_VERSIONS = (1, 2, 3)
 
 _REQUIRED_KEYS = frozenset({
@@ -67,11 +66,6 @@ class BenchRecord:
     events_processed:
         Simulation events consumed across every panel of the run — a
         deterministic cost measure (None in version-1 records).
-    sim_mode:
-        Effective simulation mode the run executed under (``"packet"``
-        or ``"fluid"``; None in pre-version-3 records).  Recorded so a
-        fluid-mode run is never compared against a packet baseline
-        silently.
     wall_time_s / git_sha:
         ``git_sha`` is provenance only; ``wall_time_s`` is gated
         warn-only by the comparator (>25% drift warns, never fails).
@@ -89,7 +83,6 @@ class BenchRecord:
     quick: bool = False
     wall_time_s: float = 0.0
     events_processed: Optional[int] = None
-    sim_mode: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
 
     # -- structured access ---------------------------------------------------
@@ -133,7 +126,6 @@ class BenchRecord:
             "quick": self.quick,
             "wall_time_s": self.wall_time_s,
             "events_processed": self.events_processed,
-            "sim_mode": self.sim_mode,
             "tables": self.tables,
             "anchors": self.anchors,
             "claims": self.claims,
@@ -179,7 +171,6 @@ class BenchRecord:
             events_processed=(
                 None if d.get("events_processed") is None
                 else int(d["events_processed"])),
-            sim_mode=d.get("sim_mode"),
             schema_version=version,
         )
 

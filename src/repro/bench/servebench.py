@@ -496,14 +496,14 @@ BENCH_SUITES = (
                "SLO latency, and drops vs offered load", (
         # Quick mode shrinks the cluster and horizon — CI's suite-smoke
         # job runs exactly those axes.
-        Panel("serve", "~1 min", serve_points,
+        Panel("serve", serve_points,
               quick_kwargs={"hosts": 64, "rates": [200.0, 800.0],
                             "bursty_rates": [800.0], "horizon": 0.02}),
         # Quick widths start at 32 hosts: narrower clusters amortize
         # the per-shard setup over too few queries for the flatness
         # claim to be meaningful at a short horizon.
-        Panel("serve_scale", "~30 s", serve_scale_points,
+        Panel("serve_scale", serve_scale_points,
               quick_kwargs={"hosts_axis": [32, 64], "horizon": 0.03}),
-        Panel("serve_par", "~2 min", run=serve_parallel_benchmark),
+        Panel("serve_par", run=serve_parallel_benchmark),
     ), _serve_anchors, _serve_claims),
 )

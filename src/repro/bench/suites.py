@@ -52,7 +52,6 @@ _DECLARING_MODULES = (
     "repro.bench.figures",
     "repro.bench.microbench",
     "repro.bench.executor",
-    "repro.bench.fluidbench",
     "repro.bench.servebench",
     "repro.bench.wancachebench",
     "repro.bench.tailsbench",
@@ -71,7 +70,6 @@ class Panel:
     """
 
     panel_id: str
-    runtime_hint: str  # rough full-axis runtime, shown by the list commands
     plan_fn: Optional[Callable[..., PointPlan]] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
     quick_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -91,8 +89,8 @@ class Panel:
                             **(self.quick_kwargs if quick else {}))
 
     def table(self, quick: bool) -> ExperimentTable:
-        """Run the whole panel in this process, under the ambient mode,
-        fault plan and tracer."""
+        """Run the whole panel in this process, under the ambient fault
+        plan and tracer."""
         plan = self.plan(quick)
         return self.run(quick) if plan is None else plan.run()
 
@@ -180,10 +178,6 @@ class BenchSuite:
     def panel_ids(self) -> Tuple[str, ...]:
         return tuple(p.panel_id for p in self.panels)
 
-    @property
-    def runtime_hint(self) -> str:
-        return " + ".join(p.runtime_hint for p in self.panels)
-
 
 # ---------------------------------------------------------------------------
 # table helpers shared by the declaring modules' extractors
@@ -263,7 +257,7 @@ def get_suite(bench_id: str) -> BenchSuite:
 
 def get_panel(panel_id: str) -> Panel:
     """Look a panel up by id; accepts ``4a``, ``fig4a``, ``FIG10`` and
-    non-figure panel ids (``fluid``, ``serve``) verbatim."""
+    non-figure panel ids (``serve``, ``tlc``) verbatim."""
     panels = _declarations()[1]
     key = panel_id.lower()
     if key not in panels and key.startswith("fig"):

@@ -311,9 +311,9 @@ BENCH_SUITES = (
         # axes; the straggler preset's fault windows repeat every
         # 25 ms, so the quick horizon (~37 ms) still sees both
         # straggler mechanisms.
-        Panel("tls", "~10 s", tls_points,
+        Panel("tls", tls_points,
               quick_kwargs={"ks": [1, 2], "n_queries": 120}),
-        Panel("tlc", "~1 s", tlc_points,
+        Panel("tlc", tlc_points,
               quick_kwargs={"ks": [1, 2], "n_queries": 120}),
     ), _tails_anchors, _tails_claims),
 )

@@ -376,11 +376,11 @@ BENCH_SUITES = (
         # overflow one stream's flow-control window (256 KiB) or
         # striping has nothing to recover and the striping claim loses
         # its margin.
-        Panel("wcq", "~30 s", wcq_points,
+        Panel("wcq", wcq_points,
               quick_kwargs={"temperatures": ["cold", "hot"],
                             "widths": [1, 4], "n_blocks": 32,
                             "n_queries": 3}),
-        Panel("wcb", "~15 s", wcb_points,
+        Panel("wcb", wcb_points,
               quick_kwargs={"widths": [1, 4], "n_blocks": 24,
                             "block_bytes": 128 * 1024}),
     ), _wancache_anchors, _wancache_claims),

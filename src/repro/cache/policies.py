@@ -19,7 +19,7 @@ bit-for-bit across processes and platforms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["EVICTION_POLICIES", "make_policy"]
 
@@ -141,8 +141,3 @@ def make_policy(name: str):
             f"unknown eviction policy {name!r}; "
             f"have {sorted(EVICTION_POLICIES)}"
         ) from None
-
-
-def policy_names() -> Optional[List[str]]:
-    """All registered policy names, sorted."""
-    return sorted(EVICTION_POLICIES)

@@ -31,11 +31,13 @@ Commands
     sweeps out over a process pool; results are memoized in the
     content-addressed cache unless ``--no-cache``), gate them against
     the committed baselines, and regenerate the experiment docs.
+    ``bench run`` exits 1 when a claim fails, and then does not update
+    that suite's baseline.
 ``bench cache stats|clear``
     Inspect or empty the content-addressed point-result cache under
     ``benchmarks/cache/``.
 ``list``
-    List the available panels with their runtime class.
+    List the available panel ids.
 """
 
 from __future__ import annotations
@@ -61,13 +63,10 @@ def _panel(panel_id: str):
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro.sim.flow import simulation_mode
-
     panel = _panel(args.id)
     if panel is None:
         return 2
-    with simulation_mode(getattr(args, "mode", None)):
-        table = panel.table(args.quick)
+    table = panel.table(args.quick)
     print(table.render())
     if args.save:
         path = table.save(args.save)
@@ -148,7 +147,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.apps.serve import ServeConfig, run_serve
     from repro.apps.workload import QUERY_KINDS
-    from repro.sim.flow import simulation_mode
 
     config = ServeConfig(
         protocol=args.protocol,
@@ -160,18 +158,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     stats = None
-    with simulation_mode(args.mode):
-        if args.jobs is None:
-            result = run_serve(config)
-        else:
-            from repro.bench.cache import ResultCache
-            from repro.bench.executor import SweepExecutor
-            from repro.sim.partition import run_serve_parallel
+    if args.jobs is None:
+        result = run_serve(config)
+    else:
+        from repro.bench.cache import ResultCache
+        from repro.bench.executor import SweepExecutor
+        from repro.sim.partition import run_serve_parallel
 
-            cache = (ResultCache(args.cache_dir)
-                     if args.cache_dir else None)
-            with SweepExecutor(jobs=args.jobs, cache=cache) as executor:
-                result, stats = run_serve_parallel(config, executor=executor)
+        cache = ResultCache(args.cache_dir) if args.cache_dir else None
+        with SweepExecutor(jobs=args.jobs, cache=cache) as executor:
+            result, stats = run_serve_parallel(config, executor=executor)
     print(f"serve: {args.protocol} on {args.hosts} hosts "
           f"({config.n_shards} shards), {args.arrival} arrivals at "
           f"{args.rate:g} q/s/shard over {args.horizon:g} s")
@@ -203,7 +199,6 @@ def cmd_tails(args: argparse.Namespace) -> int:
     from repro.apps.tails import TailsConfig, run_tails
     from repro.faults.plan import injecting
     from repro.faults.presets import get_preset
-    from repro.sim.flow import simulation_mode
 
     try:
         plan = get_preset(args.plan)
@@ -220,7 +215,7 @@ def cmd_tails(args: argparse.Namespace) -> int:
         rate=args.rate,
         seed=args.seed,
     )
-    with simulation_mode(args.mode), injecting(plan):
+    with injecting(plan):
         result = run_tails(config)
     policy = result.policy
     print(f"tails: {args.protocol} on {args.workers} workers, "
@@ -251,7 +246,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     panels = [p for name in suite_names() for p in get_suite(name).panels]
     print("figures (python -m repro figure <id>):")
     for panel in sorted(panels, key=lambda p: p.panel_id):
-        print(f"  {panel.panel_id:<4} {panel.runtime_hint}")
+        print(f"  {panel.panel_id}")
     return 0
 
 
@@ -272,7 +267,6 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import baselines, runner
     from repro.bench.cache import ResultCache
     from repro.bench.executor import SweepExecutor
-    from repro.sim.flow import simulation_mode
 
     try:
         experiments = _resolve_experiments(args.experiments, for_run=True)
@@ -281,8 +275,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         return 2
     out_dir = baselines.results_dir(args.results)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    with simulation_mode(args.mode), \
-            SweepExecutor(jobs=args.jobs, cache=cache) as executor:
+    failed = []  # suites with a failed claim
+    with SweepExecutor(jobs=args.jobs, cache=cache) as executor:
         for exp in experiments:
             record = runner.run_experiment(
                 exp, quick=args.quick, progress=print, executor=executor,
@@ -298,7 +292,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                   f"({len(bad_claims)} failed), "
                   f"{sum(s['events'] for s in record.layers.values())} trace "
                   f"events in {record.wall_time_s:.1f} s "
-                  f"(jobs={executor.jobs}, mode={record.sim_mode})")
+                  f"(jobs={executor.jobs})")
             for a in bad_anchors:
                 print(f"  ANCHOR MISS {a['key']}: paper {a['paper']}, "
                       f"measured {a['measured']}")
@@ -306,13 +300,20 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                 print(f"  CLAIM FAILED {c['key']}: {c['description']}")
             path = baselines.store_record(record, out_dir)
             print(f"wrote {path}")
-            if args.update_baseline:
+            if bad_claims:
+                failed.append(exp)
+                if args.update_baseline:
+                    print(f"baseline for {exp} not updated: a claim failed")
+            elif args.update_baseline:
                 bpath = baselines.store_record(
                     record, baselines.baseline_dir(args.baselines))
                 print(f"updated baseline {bpath}")
     if cache is not None:
         print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es) "
               f"in {cache.directory}")
+    if failed:
+        print(f"failed claims in {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -409,14 +410,14 @@ def cmd_bench_list(_args: argparse.Namespace) -> int:
         suite = get_suite(bench_id)
         if bench_id in have:
             try:
-                mode = BenchRecord.load(have[bench_id]).sim_mode
+                wall = f"{BenchRecord.load(have[bench_id]).wall_time_s:.1f} s"
             except (OSError, SchemaError):
-                mode = None
-            marker = f"baseline, mode={mode or 'unrecorded'}"
+                wall = "unreadable"
+            marker = f"baseline, {wall}"
         else:
             marker = "no baseline"
         print(f"  {bench_id:<6} panels {'+'.join(suite.panel_ids):<6} "
-              f"[{suite.runtime_hint}] ({marker})")
+              f"({marker})")
     return 0
 
 
@@ -446,7 +447,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.apps.tails import DEFAULT_HEDGE_US
-    from repro.sim.flow import MODES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -461,14 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="regenerate one paper figure")
     p_fig.add_argument("id", help="panel id: a paper figure (4a, 4b, 7a, "
                                   "7b, 8a, 8b, 9a, 9b, 10, 11) or any "
-                                  "other id 'list' prints, e.g. fluid")
+                                  "other id 'list' prints, e.g. tlc")
     p_fig.add_argument("--quick", action="store_true", help="reduced axes")
     p_fig.add_argument("--save", metavar="DIR", default=None,
                        help="also write the table to DIR")
-    p_fig.add_argument("--mode", choices=MODES,
-                       default=None,
-                       help="simulation mode (default: REPRO_SIM_MODE env "
-                            "or packet)")
     p_fig.set_defaults(func=cmd_figure)
 
     p_micro = sub.add_parser("microbench", help="both Figure-4 panels")
@@ -482,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="run a panel with cross-layer tracing on"
     )
-    p_trace.add_argument("id", help="panel id, e.g. 4a, fig4a or fluid")
+    p_trace.add_argument("id", help="panel id, e.g. 4a, fig4a or tlc")
     p_trace.add_argument("--kind", default=None,
                          help="only count/show this kind (prefix match)")
     p_trace.add_argument("--limit", type=int, default=10, metavar="N",
@@ -521,10 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="with --jobs: memoize per-chunk results "
                               "in this content-addressed cache dir")
-    p_serve.add_argument("--mode", choices=MODES,
-                         default=None,
-                         help="simulation mode (default: REPRO_SIM_MODE "
-                              "env or packet)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_tails = sub.add_parser(
@@ -553,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault preset (see 'faults list'; "
                               "default none)")
     p_tails.add_argument("--seed", type=int, default=29)
-    p_tails.add_argument("--mode", choices=MODES,
-                         default=None,
-                         help="simulation mode (default: REPRO_SIM_MODE "
-                              "env or packet)")
     p_tails.set_defaults(func=cmd_tails)
 
     p_list = sub.add_parser("list", help="list the available panels")
@@ -595,11 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb_run.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="cache dir (default REPRO_BENCH_CACHE or "
                              "benchmarks/cache)")
-    pb_run.add_argument("--mode", choices=MODES,
-                        default=None,
-                        help="simulation mode for the run (default: "
-                             "REPRO_SIM_MODE env or packet); recorded in "
-                             "the output and the cache key")
     pb_run.set_defaults(func=cmd_bench_run)
 
     pb_cmp = bsub.add_parser(

@@ -34,14 +34,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.sim import Simulator, Store
 from repro.sim.trace import NULL_TRACER, Tracer
 
-__all__ = ["Transmission", "LinkDirection", "Port", "Switch",
-           "FLUID_CONTROL_BYTES"]
-
-#: Largest in-flight transmission :attr:`LinkDirection.fluid_ready`
-#: still treats as "quiet": control frames (16-byte VIA credit grants,
-#: small acks) may overlap a fluid transfer by design, and anything
-#: bulk is comfortably above this.
-FLUID_CONTROL_BYTES = 64
+__all__ = ["Transmission", "LinkDirection", "Port", "Switch"]
 
 
 @dataclass
@@ -111,16 +104,9 @@ class LinkDirection:
         self._on_start = on_start
         self._queue: deque = deque()
         self._busy = False
-        #: Bytes of the transmission(s) currently occupying the wire —
-        #: lets :attr:`fluid_ready` distinguish an in-flight control
-        #: frame (credit grant, ack) from bulk data.
-        self._busy_bytes = 0
         #: Completions outstanding from a send_many() batch; while > 0 the
         #: wire stays busy without a queue entry per transmission.
         self._batch_left = 0
-        #: Lazily-built processor-sharing integrator for fluid-mode
-        #: transfers (None until the first :meth:`fluid_add`).
-        self._fluid = None
         self.busy_time = 0.0
         self.bytes_carried = 0
         self.tx_count = 0
@@ -172,7 +158,6 @@ class LinkDirection:
         on_done = self._on_batch_transmitted
         pairs = []
         offset = 0.0
-        self._busy_bytes = sum(tx.size for tx in txs)
         for tx in txs:
             start = now + offset
             hold = max(tx.service_time, tx.ready_at - start)
@@ -195,7 +180,6 @@ class LinkDirection:
 
     def _on_batch_transmitted(self, event) -> None:
         tx: Transmission = event._value
-        self._busy_bytes -= tx.size
         self.busy_time += tx.service_time
         self.bytes_carried += tx.size
         self.tx_count += 1
@@ -212,7 +196,6 @@ class LinkDirection:
                 self._start(self._queue.popleft())
             else:
                 self._busy = False
-                self._busy_bytes = 0
         if self._deliver is not None:
             faults = self.faults
             if faults is not None:
@@ -222,7 +205,6 @@ class LinkDirection:
 
     def _start(self, tx: Transmission) -> None:
         self._busy = True
-        self._busy_bytes = tx.size
         now = self.sim.now
         # Occupy for the service time — longer when cut-through data is
         # still trickling in from the other direction (ready_at).  Read
@@ -252,67 +234,12 @@ class LinkDirection:
             self._start(self._queue.popleft())
         else:
             self._busy = False
-            self._busy_bytes = 0
         if self._deliver is not None:
             faults = self.faults
             if faults is not None:
                 faults.deliver(tx)
             else:
                 self._deliver(tx)
-
-    # -- fluid fast path ----------------------------------------------------
-
-    @property
-    def fluid_ready(self) -> bool:
-        """True when a fluid transfer may claim this direction: no bulk
-        packet transmission in flight, nothing queued, and no fault
-        state installed (fault windows need per-segment interception).
-
-        An in-flight transmission no larger than
-        :data:`FLUID_CONTROL_BYTES` — a credit grant or an ack — does
-        not block: fluid transfers are documented not to contend with
-        small control frames, and such a frame necessarily lands long
-        before the collapsed transfer's analytic delivery deadline, so
-        per-connection ordering is preserved."""
-        return ((not self._busy or self._busy_bytes <= FLUID_CONTROL_BYTES)
-                and not self._queue and self.faults is None)
-
-    def fluid_add(
-        self, tx: Transmission, on_drained: Callable[[], None]
-    ) -> None:
-        """Register *tx*'s wire occupancy with this direction's fluid
-        integrator instead of the packet FIFO.
-
-        The transmission's ``service_time`` becomes remaining work on a
-        :class:`~repro.sim.flow.FlowModel`: ``n`` concurrent fluid
-        transfers each drain at ``1/n`` of the wire, so a whole bulk
-        message costs O(rate changes) events instead of one event per
-        segment.  Utilization/byte/trace accounting happens once, at
-        drain time.  Fluid transfers do not contend with concurrent
-        *packet* transmissions on the same direction — the transport
-        gates (see :attr:`fluid_ready`) only start a fluid transfer on
-        a quiet direction, so overlap is limited to small control
-        frames (documented approximation; see docs/ARCHITECTURE.md,
-        "Fluid-flow mode").
-        """
-        fluid = self._fluid
-        if fluid is None:
-            from repro.sim.flow import FlowModel
-
-            fluid = self._fluid = FlowModel(self.sim, name=self.name)
-
-        def _done() -> None:
-            self.busy_time += tx.service_time
-            self.bytes_carried += tx.size
-            self.tx_count += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "cluster.link", link=self.name, size=tx.size,
-                    dst=tx.dst, tag=tx.tag, fluid=True,
-                )
-            on_drained()
-
-        fluid.add(tx.service_time, _done)
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time this direction was busy."""
@@ -404,10 +331,6 @@ class Switch:
                 f"(has {sorted(self._ports)})"
             ) from None
 
-    @property
-    def port_names(self) -> list:
-        return sorted(self._ports)
-
     def _route(self, tx: Transmission, start: float) -> None:
         """Cut-through crossbar: reserve the destination downlink the
         moment the uplink starts transmitting.  The downlink cannot
@@ -415,58 +338,6 @@ class Switch:
         the propagation delay."""
         tx.ready_at = start + tx.service_time + tx.propagation + self.propagation
         self.port(tx.dst).downlink.send(tx)
-
-    def fluid_ready(self, src: str, dst: str) -> bool:
-        """True when a fluid transfer from *src* to *dst* may start:
-        both directions it would cross are quiet and fault-free."""
-        return (
-            self.port(src).uplink.fluid_ready
-            and self.port(dst).downlink.fluid_ready
-        )
-
-    def send_fluid(self, src: str, tx: Transmission) -> None:
-        """Fluid-mode analog of uplink ``send`` + cut-through routing.
-
-        The caller has already collapsed a whole bulk message into one
-        transmission: ``service_time`` is the message's total wire
-        occupancy and ``ready_at`` the *absolute* time its last byte
-        would exit the uplink under the packet-mode three-stage
-        pipeline (sender-limited stalls included).  The transmission's
-        occupancy registers with the fluid integrators of **both**
-        directions it crosses — the cut-through analog: uplink and
-        downlink drain the same bytes concurrently — and is delivered
-        when the later of the two drains completes, but never before
-        ``ready_at`` plus propagation (the analytic packet-mode
-        delivery time; the drains finish earlier than it exactly when
-        both directions were otherwise idle).
-
-        Falls back to the packet path when either direction has fault
-        state installed mid-flight.
-        """
-        up = self.port(src).uplink
-        down = self.port(tx.dst).downlink
-        if up.faults is not None or down.faults is not None:
-            up.send(tx)
-            return
-        deadline = tx.ready_at + tx.propagation + self.propagation
-        sim = self.sim
-        pending = [2]
-
-        def _drained() -> None:
-            pending[0] -= 1
-            if pending[0]:
-                return
-            if deadline > sim.now:
-                ev = sim.timeout(deadline - sim.now, tx)
-                ev.add_callback(_deliver_at_deadline)
-            else:
-                down._deliver(tx)
-
-        def _deliver_at_deadline(event) -> None:
-            down._deliver(event.value)
-
-        up.fluid_add(tx, _drained)
-        down.fluid_add(tx, _drained)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Switch {self.name!r} ports={len(self._ports)}>"

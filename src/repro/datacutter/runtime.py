@@ -487,20 +487,6 @@ class AppInstance:
                 filter=filter_name, copy=index, action="alive",
             )
 
-    def restart_copy(
-        self, filter_name: str, index: int, reinit: bool = False
-    ) -> Generator[Event, Any, None]:
-        """Manually bring copy ``filter_name[index]`` back into service:
-        optionally re-run its filter ``init`` (a fresh filter process
-        after a crash), then mark it alive in every feeding scheduler.
-        Stream connections are untouched — the simulated NIC queue
-        survives a blackout, so existing sockets resume (see
-        docs/RESILIENCE.md for the crash model)."""
-        copy = self.copy(filter_name, index)
-        if reinit:
-            yield from maybe_generator(copy.filter.init(copy.ctx))
-        self.mark_copy_alive(filter_name, index)
-
     def run_uow(self, payload: Any = None) -> Generator[Event, Any, UnitOfWork]:
         """Run one unit of work through every filter copy; returns it
         completed.  UOWs are strictly sequential per instance."""

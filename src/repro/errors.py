@@ -154,13 +154,3 @@ class WorkloadError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment could not be configured or produced no data."""
-
-
-class InfeasibleGuarantee(ExperimentError):
-    """No configuration meets the requested performance guarantee.
-
-    This is an *expected* outcome for some experiment points — e.g. TCP
-    cannot satisfy a 100 microsecond end-to-end latency guarantee in
-    Figure 8 — and the benchmark harness reports it as a drop-out rather
-    than a failure.
-    """

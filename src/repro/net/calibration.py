@@ -230,20 +230,3 @@ def fit_cost_model(
         ftol=1e-12,
     )
     return build(fit.x)
-
-
-def paper_reference_curve(name: str) -> Dict[int, float]:
-    """Approximate Figure-4 reference series, reconstructed from the
-    calibrated models (for plotting alongside measured DES output).
-
-    Returns {message_size: value} with latency in microseconds for sizes
-    up to 4 KB and bandwidth in Mbps for larger sizes, mirroring the
-    figure's axes.
-    """
-    model = get_model(name)
-    out: Dict[int, float] = {}
-    size = 4
-    while size <= 4096:
-        out[size] = model.message_latency(size) * 1e6
-        size *= 2
-    return out

@@ -138,19 +138,6 @@ class ProtocolCostModel:
             return self.receiver_time(nbytes)
         return self.o_recv_msg + self.c_recv * max(nbytes, 0)
 
-    def nic_time(self, nbytes: int) -> float:
-        """Per-message cost charged to the NIC engine (offloaded protocols).
-
-        Host-based protocols do their segment work on the CPU, so the
-        NIC engine time equals the raw wire time; offloaded protocols
-        add their per-segment descriptor processing here.
-        """
-        n = self.n_segments(nbytes)
-        t = self.wire_time(nbytes)
-        if not self.host_cpu_protocol:
-            t += n * (self.o_send_seg + self.o_recv_seg)
-        return t
-
     # -- end-to-end views --------------------------------------------------------------
 
     def _seg_stage_times(self, size: int) -> Tuple[float, float, float]:

@@ -11,17 +11,8 @@ the event-loop contract (one ``heapq`` list of pending events, one run
 loop behind ``run``/``run_all``/``step``).
 """
 
-from repro.sim.core import Simulator
+from repro.sim.core import Simulator, simulation_mode
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
-from repro.sim.flow import (
-    FlowModel,
-    FluidFlow,
-    effective_sim_mode,
-    fluid_active,
-    resolve_sim_mode,
-    simulation_mode,
-    solve_pipeline,
-)
 from repro.sim.monitor import SeriesRecorder, Tally
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
@@ -37,13 +28,7 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "FlowModel",
-    "FluidFlow",
-    "resolve_sim_mode",
     "simulation_mode",
-    "fluid_active",
-    "effective_sim_mode",
-    "solve_pipeline",
     "Process",
     "Interrupt",
     "Resource",

@@ -37,6 +37,7 @@ The run loop is deliberately allocation-light (see docs/ARCHITECTURE.md,
 from __future__ import annotations
 
 from collections import deque
+from contextlib import AbstractContextManager, nullcontext
 from heapq import heapify, heappop, heappush
 from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple
 
@@ -53,7 +54,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 
-__all__ = ["Simulator", "global_events_processed"]
+__all__ = ["Simulator", "global_events_processed", "simulation_mode"]
 
 _INF = float("inf")
 
@@ -66,6 +67,22 @@ _GLOBAL_EVENTS = [0]
 def global_events_processed() -> int:
     """Total events processed by all simulators in this process so far."""
     return _GLOBAL_EVENTS[0]
+
+
+def simulation_mode(mode: str) -> AbstractContextManager:
+    """Context manager for running a block in simulation mode *mode*.
+
+    Packet mode -- one event chain per segment, descriptor and frame --
+    is the only mode, so ``simulation_mode("packet")`` is a no-op and
+    any other *mode* raises :class:`ValueError`.  It stays because the
+    host-performance benchmark (``perf/child.py``) pins every
+    repetition with ``with simulation_mode("packet"):``.
+    """
+    if mode != "packet":
+        raise ValueError(
+            f"unknown simulation mode {mode!r}; the only mode is 'packet'"
+        )
+    return nullcontext()
 
 
 class Simulator:

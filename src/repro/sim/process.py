@@ -98,11 +98,6 @@ class Process(Event):
     # -- state ---------------------------------------------------------------
 
     @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    @property
     def target(self) -> Optional[Event]:
         """Event the process is currently waiting on (``None`` if running)."""
         return self._target

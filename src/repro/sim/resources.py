@@ -156,35 +156,6 @@ class Resource:
         finally:
             self.release(req)
 
-    def occupy(self, duration: float) -> Request:
-        """Hold one slot for *duration* with no waiting process.
-
-        Background occupancy for work nobody blocks on (the fluid
-        transfer mode charges a collapsed bulk transfer's overlapped
-        receive work on the destination host this way).  FIFO-fair with
-        :meth:`request`: a free slot is claimed silently — the returned
-        request never fires, so the claim costs a single timer event —
-        while a busy resource queues the claim like any other request
-        and the hold starts when it is granted.  Either way ``count``
-        and ``queue_length`` see the occupancy, so idle checks and
-        later requesters queue behind it.
-        """
-        req = Request(self)
-
-        def _hold(_ev: Any = None) -> None:
-            timer = self.sim.timeout(duration)
-            timer.add_callback(lambda _e: self.release(req))
-
-        if len(self._users) < self.capacity and not self._queue:
-            # Silent grant: occupy the slot without scheduling the
-            # request event (nobody yields on it).
-            self._users.append(req)
-            _hold()
-        else:
-            req.add_callback(_hold)
-            self._enqueue(req)
-        return req
-
     # -- internals -------------------------------------------------------------------
 
     def _grant_next(self) -> None:
@@ -278,10 +249,6 @@ class Store:
     @property
     def is_empty(self) -> bool:
         return not self._items
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
 
     def peek(self) -> Any:
         """The next item to be delivered, without removing it."""

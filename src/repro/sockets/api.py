@@ -180,17 +180,6 @@ class BaseSocket:
         else:
             self._deliver(Message(size=size, payload=payload, kind=kind))
 
-    def try_recv_message(self) -> Optional[Message]:
-        """Non-blocking receive: the next message or ``None``."""
-        if self.closed:
-            raise SocketClosedError("socket is closed")
-        ok, msg = self._rx_messages.try_get()
-        if not ok or msg is None:
-            return None
-        self.bytes_received += msg.size
-        self._after_recv(msg)
-        return msg
-
     @property
     def rx_pending(self) -> int:
         """Messages received and waiting to be read."""

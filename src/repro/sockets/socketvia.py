@@ -49,7 +49,6 @@ from repro.net.calibration import SOCKETVIA_CLAN
 from repro.net.message import Message
 from repro.net.model import ProtocolCostModel
 from repro.sim import Container, Event, Resource, Store
-from repro.sim.flow import solve_pipeline
 from repro.sockets.api import Address, BaseSocket, ListenerSocket
 from repro.transport.base import ControlDatagram, StackBase
 from repro.via.descriptors import Descriptor
@@ -76,11 +75,6 @@ class _FragmentHeader:
     size: int
     is_last: bool
     sent_at: float
-    #: Credits this fragment accounts for.  1 on the packet path; a
-    #: fluid-mode message claims the sender's whole credit window (so
-    #: nothing behind it can overtake the collapsed transfer) and the
-    #: receiver grants the full claim back in one update.
-    credits: int = 1
 
 
 @dataclass
@@ -135,10 +129,6 @@ class SocketViaSocket(BaseSocket):
         self._peer_region = None
         self._peer_region_ev: Optional[Event] = None
         self._rdma_mutex = Resource(self.sim, 1)
-        #: Lazily-registered 1-byte marker region backing fluid-mode
-        #: one-shot send descriptors (the fluid model cycles through
-        #: the real pool buffers analytically).
-        self._fluid_region = None
 
     # -- setup ---------------------------------------------------------------------
 
@@ -228,9 +218,6 @@ class SocketViaSocket(BaseSocket):
         mutex = self._send_mutex.request()
         yield mutex
         try:
-            if self._fluid_eligible(message.size):
-                yield from self._send_fluid(message)
-                return
             remaining = message.size
             offset = 0
             while True:
@@ -258,106 +245,6 @@ class SocketViaSocket(BaseSocket):
                     break
         finally:
             self._send_mutex.release(mutex)
-
-    def _fluid_eligible(self, size: int) -> bool:
-        """Gate for the credit-steady fluid phase: a message that
-        consumes the whole credit window by itself, every credit home
-        and every pool buffer reaped (nothing in flight on this
-        connection), the host CPU idle, fluid mode in effect, and the
-        wire path quiet and fault-free.  Anything else takes the
-        per-fragment packet path.
-
-        The window-consuming floor (``size >= credits * mtu``) mirrors
-        the TCP gate: it is what makes the whole-window credit claim
-        in :meth:`_send_fluid` cost-free, because a window-sized
-        message exhausts its credits and stalls on their return in
-        packet mode too.  Sub-window messages pipeline inside the
-        credit window on the packet path; claiming every credit for
-        one of them would serialize its successors behind a
-        delivery-plus-credit-return round trip — invisible on a LAN,
-        a full RTT per message on a high-propagation (WAN) fabric."""
-        stack: SocketViaStack = self.stack
-        return (
-            size >= stack.credits * stack.model.mtu
-            and self.vi is not None
-            and self._credits.level == stack.credits
-            and self._send_pool.size == stack.credits
-            and stack.host.cpu.count == 0
-            and stack.host.cpu.queue_length == 0
-            and stack._fluid_wire_ok(self.vi.peer_host)
-        )
-
-    def _send_fluid(self, message: Message) -> Generator:
-        """Collapse a bulk message into one analytic VIA transfer.
-
-        The per-fragment host/wire/completion costs run through the
-        three-stage flow-shop solve; one descriptor then stands in for
-        the whole fragment burst — one credit, one doorbell, one
-        completion on each side — with the receiver's analytic residual
-        (C3-C2) charged when the completion is reaped.  Credit pacing
-        is non-delaying under the gate (the wire is the bottleneck at
-        the calibrated costs and every credit starts home), so message
-        delivery matches the per-fragment path on an idle fabric; the
-        receive-copy work the solve overlapped with the wire still
-        occupies the peer's host CPU via
-        :meth:`StackBase._fluid_charge_peer`, so concurrent compute on
-        the receiving host contends realistically.  The sender's
-        ``send()`` return time compresses to the summed host cost (the
-        per-fragment path can return later when credits throttle it), a
-        documented fluid approximation.
-        """
-        stack: SocketViaStack = self.stack
-        model = stack.model
-        buf = model.mtu
-        # Claim the whole credit window (the gate guarantees it is
-        # home, so the get is instantaneous).  A collapsed transfer is
-        # invisible to the packet path's FIFO queues; holding every
-        # credit until the receiver grants the claim back keeps any
-        # later message — packet fallback, fin marker, RDMA part —
-        # strictly behind this one on the wire, preserving in-order
-        # delivery per connection.
-        yield self._credits.get(stack.credits)
-        snd = []
-        wire = []
-        rcv = []
-        remaining = message.size
-        while remaining:
-            frag = min(remaining, buf)
-            snd.append(model.host_send_time(frag))
-            wire.append(model.wire_unit_service(frag))
-            rcv.append(model.host_recv_time(frag))
-            remaining -= frag
-        c2, c3 = solve_pipeline(snd, wire, rcv)
-        # The receive-copy work that overlapped the wire in the solve
-        # still occupies the peer's host CPU for contention purposes
-        # (the C3-C2 tail is charged at the completion reap; together
-        # they charge exactly sum(rcv)).
-        stack._fluid_charge_peer(self.vi.peer_host, sum(rcv) - (c3 - c2))
-        region = self._fluid_region
-        if region is None:
-            region = self._fluid_region = stack.nic.memory.register_now(1)
-        desc = Descriptor(
-            memory=region,
-            length=message.size,
-            payload=message.payload,
-            immediate=_FragmentHeader(
-                msg_id=message.msg_id,
-                kind=message.kind,
-                total_size=message.size,
-                offset=0,
-                size=message.size,
-                is_last=True,
-                sent_at=message.sent_at,
-                credits=stack.credits,
-            ),
-            rx_cost=c3 - c2,
-        )
-        yield from self.vi.post_send_fluid(
-            desc,
-            cpu_cost=sum(snd),
-            wire_work=sum(wire),
-            exit_at=self.sim.now + c2,
-        )
 
     def _do_send_rdma(self, message: Message) -> Generator:
         """RDMA push path (paper future work): the message travels as
@@ -419,11 +306,6 @@ class SocketViaSocket(BaseSocket):
             rdma_mem = getattr(self, "_rdma_send_mem", None)
             if rdma_mem is not None and desc.memory.handle_id == rdma_mem.handle_id:
                 continue
-            fluid_mem = self._fluid_region
-            if fluid_mem is not None and desc.memory.handle_id == fluid_mem.handle_id:
-                # Fluid-mode one-shot descriptors never came from the
-                # fragment pool; drop them like the RDMA ones.
-                continue
             desc.reset()
             self._send_pool.put_nowait(desc)
 
@@ -451,9 +333,7 @@ class SocketViaSocket(BaseSocket):
             # Recycle the buffer and account the credit.
             desc.reset()
             self.vi.post_recv(desc)
-            # A fluid-mode message carries its sender's whole credit
-            # claim in the header; grant it all back in one update.
-            self._credits_pending += getattr(hdr, "credits", 1)
+            self._credits_pending += 1
             if self._credits_pending >= flush_at or hdr.is_last:
                 self.stack._send_credit_update(self, self._credits_pending)
                 self._credits_pending = 0

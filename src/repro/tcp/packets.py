@@ -9,7 +9,7 @@ Only :class:`DataUnit`, the windowed transfer unit, is TCP-specific.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.transport.base import (
     CTRL_BYTES,
@@ -58,7 +58,3 @@ class DataUnit:
     wnd: int
     payload: Any = None  # carried only on the last unit
     sent_at: float = 0.0
-    #: Fluid mode: analytic receiver-side residual (the flow-shop C3-C2
-    #: tail) charged instead of the per-size receive cost.  ``None`` on
-    #: every packet-mode unit.
-    rx_cost: Optional[float] = None

@@ -324,72 +324,6 @@ class StackBase:
             )
         )
 
-    def _fluid_wire_ok(self, dst_host: str) -> bool:
-        """True when a fluid transfer to *dst_host* could start right
-        now: fluid mode is in effect (no ambient fault plan), this stack
-        and the directions the data would cross are fault-free, and
-        both directions are quiet."""
-        from repro.sim.flow import fluid_active
-
-        if not fluid_active() or self.faults is not None:
-            return False
-        return self.switch.fluid_ready(self.host.name, dst_host)
-
-    def _fluid_rx_resource(self) -> Any:
-        """The receiver-side contended resource an inbound collapsed
-        transfer occupies (the host CPU; TCP overrides with its
-        serialized kernel path)."""
-        return self.host.cpu
-
-    def _fluid_charge_peer(self, dst_host: str, cost: float) -> None:
-        """Occupy *dst_host*'s receive resource with the overlapped part
-        of a collapsed transfer's receive work (the total per-unit cost
-        minus the C3-C2 residual charged on delivery).
-
-        Delivery does not wait on this charge.  On an otherwise-idle
-        receiver it always completes before the residual is requested —
-        the flow-shop guarantees C3 >= sum(rcv), so the charge (started
-        at send time) drains by the time the message lands — which keeps
-        isolated-transfer timing bit-identical to packet mode.  Its
-        whole purpose is contention fidelity: concurrent work on the
-        receiving host queues against the transfer's copy work just as
-        it would against the per-unit packet path, instead of seeing a
-        spuriously idle CPU while a megabyte streams in.
-        """
-        if cost <= 0.0:
-            return
-        peer = self._peer_stack(dst_host)
-        if peer is None:
-            return
-        peer._fluid_rx_resource().occupy(cost)
-
-    def _transmit_fluid(
-        self,
-        dst_host: str,
-        size: int,
-        payload: Any,
-        wire_work: float,
-        exit_at: float,
-        on_delivered: Optional[Any] = None,
-    ) -> None:
-        """Hand a whole collapsed bulk message to the switch's fluid
-        lane: *wire_work* is its total wire occupancy and *exit_at* the
-        absolute time its last byte would leave the uplink under the
-        packet-mode pipeline (see :meth:`Switch.send_fluid`)."""
-        self.switch.send_fluid(
-            self.host.name,
-            Transmission(
-                dst=dst_host,
-                service_time=wire_work,
-                propagation=self.model.l_wire,
-                payload=payload,
-                size=size,
-                tag=self.wire_tag,
-                on_delivered=on_delivered,
-                ready_at=exit_at,
-            ),
-        )
-
     def _enqueue_rx(self, item: Any) -> None:
         """Queue one arriving item for the serialized rx daemon.
 

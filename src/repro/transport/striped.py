@@ -22,11 +22,6 @@ mechanism over any registered transport:
   dead stripe are never read (the dead socket is abandoned), so the
   result is still exact.
 
-Each stripe is an ordinary connection, so fluid-mode eligibility
-(:mod:`repro.sim.flow`) composes per stripe: a stripe whose
-window/credits are all home collapses its bulk leg analytically while
-a saturated sibling stays on the packet path.
-
 The server half is :func:`stripe_server`: an accept-loop process that
 answers ``read`` requests with one block-sized message per requested
 id, charging an optional storage-read cost per block.

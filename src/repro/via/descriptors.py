@@ -60,10 +60,6 @@ class Descriptor:
     error: Optional[str] = None
     #: Set on completions whose data bypassed the host (RDMA notify).
     zero_copy: bool = False
-    #: Fluid mode: analytic receiver-side residual charged by
-    #: ``reap_recv`` instead of the per-byte completion cost.  ``None``
-    #: on every packet-mode completion.
-    rx_cost: Optional[float] = None
     desc_id: int = field(default_factory=lambda: next(_desc_ids))
     completed_at: float = field(default=0.0, compare=False)
 
@@ -75,7 +71,6 @@ class Descriptor:
         self.immediate = None
         self.error = None
         self.zero_copy = False
-        self.rx_cost = None
         self.completed_at = 0.0
 
 
@@ -96,11 +91,6 @@ class CompletionQueue:
     def wait(self) -> Event:
         """Event firing with the next completed descriptor."""
         return self._q.get()
-
-    def poll(self) -> Optional[Descriptor]:
-        """Non-blocking: the next completion or ``None``."""
-        ok, desc = self._q.try_get()
-        return desc if ok else None
 
     def drain(self) -> Generator[Event, Any, Descriptor]:
         """Generator form of :meth:`wait` for ``yield from``."""

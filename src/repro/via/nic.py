@@ -50,9 +50,6 @@ class _DataFrame:
     length: int
     payload: Any
     immediate: Any
-    #: Fluid mode: analytic receiver-side residual carried to the
-    #: consuming descriptor (None on every packet-mode frame).
-    rx_cost: Optional[float] = None
 
 
 @dataclass
@@ -273,43 +270,6 @@ class ViaNic:
             for desc, done in zip(descs, host_done)
         )
 
-    def _transmit_data_fluid(
-        self,
-        vi: VirtualInterface,
-        desc: Descriptor,
-        wire_work: float,
-        exit_at: float,
-    ) -> None:
-        """Push one descriptor standing in for a whole collapsed bulk
-        message through the switch's fluid lane (see
-        :meth:`Switch.send_fluid`): *wire_work* is the message's total
-        wire occupancy, *exit_at* the absolute time its last fragment
-        would leave the uplink under the packet-mode pipeline.  The
-        analytic receiver residual rides on the frame and is charged
-        when the completion is reaped."""
-        rx_cost = desc.rx_cost
-        frame = _DataFrame(
-            dst_vi=vi.peer_vi,
-            src_vi=vi.vi_id,
-            length=desc.length,
-            payload=desc.payload,
-            immediate=desc.immediate,
-            rx_cost=rx_cost,
-        )
-        self.switch.send_fluid(
-            self.host.name,
-            Transmission(
-                dst=vi.peer_host,
-                service_time=wire_work,
-                propagation=self.model.l_wire,
-                payload=frame,
-                size=desc.length,
-                tag=self.tag,
-                on_delivered=lambda tx, v=vi, d=desc: v._complete_send(d),
-                ready_at=exit_at,
-            ),
-        )
-
     def _transmit_rdma_write(
         self, vi: VirtualInterface, desc: Descriptor, remote: Any, notify: bool
     ) -> None:
@@ -374,10 +334,7 @@ class ViaNic:
                 raise ViaError(
                     f"{self.host.name}: frame for unknown VI {frame.dst_vi}"
                 )
-            vi._consume_recv(
-                frame.length, frame.payload, frame.immediate,
-                rx_cost=frame.rx_cost,
-            )
+            vi._consume_recv(frame.length, frame.payload, frame.immediate)
         elif isinstance(frame, _RdmaWriteFrame):
             self._handle_rdma_write(frame)
         elif isinstance(frame, _RdmaReadRequest):

@@ -87,12 +87,6 @@ class VirtualInterface:
         registered buffer) per the NIC's cost model.  Zero-copy
         completions (RDMA notify) cost only the reap itself."""
         desc = yield self.recv_cq.wait()
-        if desc.rx_cost is not None:
-            # Fluid completion: the analytic flow-shop residual stands
-            # in for the per-byte completion cost (the rest overlapped
-            # the wire in the collapsed transfer).
-            yield from self.nic.host.cpu.use(desc.rx_cost)
-            return desc
         billed = 0 if getattr(desc, "zero_copy", False) else desc.length
         yield from self.nic.host.cpu.use(
             self.nic.model.host_recv_time(billed)
@@ -170,40 +164,6 @@ class VirtualInterface:
         self.nic._transmit_data_many(self, descs, host_done)
         yield from self.nic.host.cpu.use(total_cpu)
 
-    def post_send_fluid(
-        self,
-        desc: Descriptor,
-        cpu_cost: float,
-        wire_work: float,
-        exit_at: float,
-    ) -> Generator[Event, Any, None]:
-        """Post one descriptor standing in for a whole collapsed bulk
-        message (fluid mode).
-
-        *cpu_cost* is the summed host-side doorbell + copy cost of the
-        per-fragment posts it replaces, *wire_work* the message's total
-        wire occupancy, and *exit_at* the absolute time its last byte
-        would leave the uplink under the packet-mode pipeline.  Like
-        :meth:`post_send_many` the NIC gets the transfer immediately
-        (transmit-then-charge) and the host charges one summed
-        ``cpu.use``.  The registered-memory size check is skipped: the
-        fluid model cycles through the send-pool buffers analytically
-        instead of fragment by fragment.
-        """
-        if self.state != VI_CONNECTED:
-            raise ViaError(f"post_send_fluid on unconnected VI {self.name!r}")
-        if desc.status != DESC_IDLE:
-            raise ViaError(f"cannot post descriptor in state {desc.status!r}")
-        desc.status = DESC_POSTED
-        self.sends_posted += 1
-        if self.nic.tracer.enabled:
-            self.nic.tracer.emit(
-                "via.doorbell", vi=self.vi_id, size=desc.length,
-                op="send-fluid",
-            )
-        self.nic._transmit_data_fluid(self, desc, wire_work, exit_at)
-        yield from self.nic.host.cpu.use(cpu_cost)
-
     # -- RDMA (paper's future-work section: push/pull transfer) -------------------------
 
     def post_rdma_write(
@@ -274,17 +234,12 @@ class VirtualInterface:
         payload: Any,
         immediate: Any,
         zero_copy: bool = False,
-        rx_cost: Optional[float] = None,
     ) -> Descriptor:
         """Match arriving data to the head posted receive descriptor.
 
         ``zero_copy`` marks completions whose data landed directly in
         registered memory (RDMA write with notify): the completion
         reports the length, but reaping it costs no per-byte host work.
-        ``rx_cost`` marks a fluid completion: the whole collapsed
-        message consumed one descriptor, the posted buffer's size is
-        a per-fragment concern the fluid model already accounted for,
-        and reaping charges the analytic residual instead.
         """
         if not self._recv_posted:
             self.state = VI_ERROR
@@ -295,9 +250,8 @@ class VirtualInterface:
         desc = self._recv_posted.popleft()
         # Zero-copy notifications only deliver immediate data; the bytes
         # already live in the registered target region, so the posted
-        # buffer's size is irrelevant.  Fluid completions model the
-        # buffer cycling analytically, so the check is skipped too.
-        if not zero_copy and rx_cost is None and length > desc.memory.size:
+        # buffer's size is irrelevant.
+        if not zero_copy and length > desc.memory.size:
             desc.status = DESC_ERROR
             desc.error = "buffer too small"
             self.state = VI_ERROR
@@ -310,7 +264,6 @@ class VirtualInterface:
         desc.payload = payload
         desc.immediate = immediate
         desc.zero_copy = zero_copy
-        desc.rx_cost = rx_cost
         self.recvs_consumed += 1
         self.recv_cq._post(desc)
         return desc
@@ -318,12 +271,6 @@ class VirtualInterface:
     def _complete_send(self, desc: Descriptor) -> None:
         desc.status = DESC_DONE
         self.send_cq._post(desc)
-
-    def disconnect(self) -> None:
-        """Tear the VI down locally (peer sees errors on further sends)."""
-        self.state = VI_IDLE
-        self.peer_host = None
-        self.peer_vi = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -93,22 +93,6 @@ class TestCompareRecords:
         assert comp.status == "fail"
         assert any("axis mismatch" in p for p in comp.problems)
 
-    def test_sim_mode_mismatch_fails_early(self):
-        comp = compare_records(make_record(sim_mode="fluid"),
-                               make_record(sim_mode="packet"), TOL)
-        assert comp.status == "fail"
-        assert any("simulation-mode mismatch" in p for p in comp.problems)
-
-    def test_unrecorded_sim_mode_is_not_compared(self):
-        # A pre-v3 baseline (sim_mode=None) against any recorded mode:
-        # nothing to compare, no false alarm.
-        assert compare_records(make_record(sim_mode="fluid"),
-                               make_record(sim_mode=None),
-                               TOL).status == "pass"
-        assert compare_records(make_record(sim_mode=None),
-                               make_record(sim_mode="packet"),
-                               TOL).status == "pass"
-
     def test_sha_ignored_and_wall_time_gated_warn_only(self):
         # git_sha and small wall drift: clean pass.
         new = make_record(wall_time_s=1.1, git_sha="fffffff")

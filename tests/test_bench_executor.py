@@ -21,6 +21,7 @@ import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -36,10 +37,10 @@ from repro.bench.executor import (
     resolve_jobs,
 )
 from repro.bench.runner import git_sha, run_experiment
+from repro.bench.schema import BenchRecord
 from repro.bench.suites import BenchSuite, Panel, get_panel, get_suite, suite_names
 from repro.cli import main
-from repro.faults.plan import FaultPlan, HostFault, injecting
-from repro.sim.flow import resolve_sim_mode, simulation_mode
+from repro.faults.plan import FaultPlan, HostFault
 
 #: Tiny axes per panel: enough to exercise every decomposition shape
 #: (drop-outs, dedup, multi-column rows) while staying fast.
@@ -103,11 +104,6 @@ def _context_probe():
     return RunContext.current().to_dict()
 
 
-def _mode_probe(i):
-    """Point fn: the simulation mode the point executes under."""
-    return resolve_sim_mode()
-
-
 @pytest.fixture(scope="module")
 def pool2():
     """One jobs=2 executor for the whole module (pool spawn is slow)."""
@@ -136,42 +132,6 @@ class TestParallelMatchesSerial:
                 for p in reversed(plan.points)]
         values = [o["value"] for o in reversed(outs)]
         assert plan.merge(values).to_dict() == plan.run().to_dict()
-
-
-class TestModesMatchPacket:
-    """Figure panels are mode-invariant: the paper's block sizes sit
-    below every fluid eligibility gate, so packet and fluid must
-    produce byte-for-byte identical tables (the bit-compatible half of
-    the fluid contract; the banded half lives in the fluid suite)."""
-
-    PANELS = ("2", "4a", "4b", "7a")
-
-    @pytest.mark.parametrize("panel", PANELS)
-    @pytest.mark.parametrize("mode", ["fluid"])
-    def test_serial_bit_identical_across_modes(self, panel, mode):
-        points_fn, kwargs = CASES[panel]
-        expected = points_fn(**kwargs).run().to_dict()
-        with simulation_mode(mode):
-            assert points_fn(**kwargs).run().to_dict() == expected
-
-    def test_parallel_workers_inherit_fluid_mode(self, pool2):
-        # The point spec carries the submitting side's effective mode,
-        # so jobs=2 workers replay it — and still match packet output.
-        points_fn, kwargs = CASES["4a"]
-        expected = points_fn(**kwargs).run().to_dict()
-        with simulation_mode("fluid"):
-            assert pool2.table(points_fn(**kwargs)).to_dict() == expected
-
-    def test_ambient_fault_plan_forces_packet_bytes(self):
-        # A non-empty plan (inert here: it names no host these panels
-        # build) must flip fluid off wholesale — identical bytes again.
-        plan = FaultPlan(name="inert", seed=3,
-                         hosts={"nope99": HostFault(crash_at=1.0,
-                                                    restart_at=2.0)})
-        points_fn, kwargs = CASES["4b"]
-        expected = points_fn(**kwargs).run().to_dict()
-        with simulation_mode("fluid"), injecting(plan):
-            assert points_fn(**kwargs).run().to_dict() == expected
 
 
 class TestCacheReplay:
@@ -261,7 +221,6 @@ class TestCacheKeys:
 #: A non-default value for every RunContext field; a field added without
 #: one fails ``test_every_field_has_a_probe_value``.
 NON_DEFAULT = {
-    "mode": "fluid",
     "faults": FaultPlan(name="probe", seed=3,
                         hosts={"nope99": HostFault(crash_at=1.0,
                                                    restart_at=2.0)}),
@@ -303,18 +262,6 @@ class TestRunContext:
         with RunContext().running():
             out = execute_point(spec)
         assert out["value"] == json.loads(json.dumps(ctx.to_dict()))
-
-    def test_pool_workers_run_the_submitting_mode(self, monkeypatch):
-        # Workers inherit REPRO_SIM_MODE=fluid; the submitting side's
-        # simulation_mode("packet") must still win, as it does serially.
-        monkeypatch.setenv("REPRO_SIM_MODE", "fluid")
-        probes = [Point("t", _mode_probe, {"i": i}) for i in range(2)]
-        with SweepExecutor(jobs=2) as pool:
-            assert [r.value for r in pool.run(probes)] == ["fluid"] * 2
-            with simulation_mode("packet"):
-                serial = [r.value for r in SweepExecutor(jobs=1).run(probes)]
-                parallel = [r.value for r in pool.run(probes)]
-        assert parallel == serial == ["packet"] * 2
 
 
 class TestCacheMaintenance:
@@ -455,6 +402,24 @@ def test_fig2_quick_equals_full():
     assert panel.table(True).to_dict() == panel.table(False).to_dict()
 
 
+def test_fig11_quick_axes_are_a_corner_of_the_baseline():
+    """fig11's quick axes keep the full axes' workload, so their cells
+    equal the committed baseline's (10, 90) x (2, 8) corner exactly,
+    and both claims pass on them."""
+    quick = get_panel("11").table(True)
+    claims = get_suite("fig11").claims({"11": quick})
+    assert [c.key for c in claims if not c.passed] == []
+    assert len(claims) == 2
+    path = (Path(__file__).resolve().parent.parent
+            / "benchmarks" / "baselines" / "BENCH_fig11.json")
+    full = BenchRecord.load(str(path)).table("11")
+    for row in quick.rows:
+        prob = row[0]
+        for column, value in zip(quick.columns[1:], row[1:]):
+            assert value == full.rows[full.column("prob_slow_pct").index(
+                prob)][full.columns.index(column)], (prob, column)
+
+
 def test_every_declared_panel_is_well_formed():
     """Every panel the loader returns: a sweep panel's quick plan has
     points whose functions pickle by reference (pool workers import
@@ -483,7 +448,7 @@ def test_loader_rejects_a_panel_declared_twice(monkeypatch,
     for name, suite_id in (("decl_a", "a"), ("decl_b", "b")):
         module = types.ModuleType(name)
         module.BENCH_SUITES = (
-            BenchSuite(suite_id, "t", (Panel("p", "?", run=lambda q: None),)),)
+            BenchSuite(suite_id, "t", (Panel("p", run=lambda q: None),)),)
         monkeypatch.setitem(sys.modules, name, module)
     monkeypatch.setattr(suites, "_DECLARING_MODULES", ("decl_a", "decl_b"))
     with pytest.raises(ValueError, match="'p' is declared by both "

@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,35 @@ class TestBenchCommands:
         out = capsys.readouterr().out
         for bench_id in ("fig02", "fig04", "fig10"):
             assert bench_id in out
+
+    def test_bench_list_shows_the_baseline_wall_time(self, capsys,
+                                                     monkeypatch):
+        baselines = (Path(__file__).resolve().parent.parent
+                     / "benchmarks" / "baselines")
+        monkeypatch.setenv("REPRO_BENCH_BASELINES", str(baselines))
+        assert main(["bench", "list"]) == 0
+        lines = {line.split()[0]: line
+                 for line in capsys.readouterr().out.splitlines()[1:]}
+        assert lines["fig11"].endswith("(baseline, 15.5 s)")
+        assert lines["fig07"].endswith("(no baseline)")
+
+    def test_failed_claim_fails_the_run_and_keeps_the_baseline(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.bench import runner
+        from repro.bench.suites import Claim, get_suite
+
+        failing = dataclasses.replace(
+            get_suite("fig02"),
+            claims=lambda tables: [Claim("forced", "never holds", False, "2")])
+        monkeypatch.setattr(runner, "get_suite", lambda bench_id: failing)
+        results, base = tmp_path / "results", tmp_path / "baselines"
+        assert main(["bench", "run", "fig02", "--results", str(results),
+                     "--update-baseline", "--baselines", str(base)]) == 1
+        captured = capsys.readouterr()
+        assert "CLAIM FAILED forced" in captured.out
+        assert "fig02" in captured.err
+        assert (results / "BENCH_fig02.json").exists()
+        assert not base.exists() or not any(base.iterdir())
 
     def test_bench_unknown_experiment(self, capsys):
         assert main(["bench", "run", "fig99"]) == 2
@@ -115,7 +146,7 @@ class TestFigureExecution:
         assert main(["list"]) == 0
         ids = [line.split()[0]
                for line in capsys.readouterr().out.splitlines()[1:]]
-        assert "fluid" in ids
+        assert "tlc" in ids
         for panel_id in ids:
             assert get_panel(panel_id).panel_id == panel_id
         # Only a literal leading "fig" is stripped, in any case.
@@ -123,8 +154,8 @@ class TestFigureExecution:
         assert get_panel("FIG10").panel_id == "10"
 
     def test_non_figure_panel_runs(self, capsys):
-        assert main(["figure", "fluid", "--quick"]) == 0
-        assert "fluid" in capsys.readouterr().out
+        assert main(["figure", "tlc", "--quick"]) == 0
+        assert "tlc" in capsys.readouterr().out
 
 
 class TestTrace:

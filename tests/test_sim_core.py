@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EventLifecycleError, StopSimulation
-from repro.sim import Simulator
+from repro.sim import Simulator, simulation_mode
 
 
 @pytest.fixture
@@ -226,3 +226,33 @@ class TestDeterminism:
             return log
 
         assert build_and_run() == build_and_run()
+
+
+class TestSimulationMode:
+    """Packet mode is the only mode: naming it changes nothing, and any
+    other name is an error."""
+
+    @staticmethod
+    def _run():
+        sim = Simulator()
+        log = []
+
+        def proc(sim):
+            for _ in range(3):
+                yield sim.timeout(1.5)
+                log.append(sim.now)
+
+        sim.process(proc(sim))
+        sim.run()
+        return log, sim.events_processed
+
+    def test_packet_is_a_no_op(self):
+        outside = self._run()
+        with simulation_mode("packet"):
+            inside = self._run()
+        assert inside == outside == ([1.5, 3.0, 4.5], outside[1])
+
+    @pytest.mark.parametrize("mode", ["fluid", "auto", "Packet", ""])
+    def test_any_other_mode_is_rejected(self, mode):
+        with pytest.raises(ValueError, match=repr(mode)):
+            simulation_mode(mode)

@@ -97,52 +97,6 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
-    def test_occupy_idle_holds_slot_for_duration(self, sim):
-        res = Resource(sim, capacity=1, name="cpu")
-        res.occupy(2.0)
-        assert res.count == 1
-        done = []
-
-        def job(sim, res):
-            yield from res.use(1.0)
-            done.append(sim.now)
-
-        sim.process(job(sim, res))
-        sim.run()
-        # The requester queued behind the occupancy: 2.0 hold + 1.0 use.
-        assert done == [3.0]
-        assert res.count == 0
-
-    def test_occupy_busy_queues_fifo(self, sim):
-        res = Resource(sim, capacity=1, name="cpu")
-        holder = res.request()  # synchronous grant occupies the slot
-        res.occupy(2.0)  # busy: queued like any request
-        assert res.queue_length == 1
-        done = []
-
-        def job(sim, res, name, dur):
-            yield from res.use(dur)
-            done.append((name, sim.now))
-
-        sim.process(job(sim, res, "b", 1.0))
-
-        def releaser(sim):
-            yield sim.timeout(1.0)
-            res.release(holder)
-
-        sim.process(releaser(sim))
-        sim.run()
-        # holder [0,1], the queued occupancy [1,3], b [3,4].
-        assert done == [("b", 4.0)]
-        assert res.count == 0
-
-    def test_occupy_idle_costs_one_event(self, sim):
-        res = Resource(sim, capacity=1)
-        before = sim.events_processed
-        res.occupy(1.0)
-        sim.run()
-        assert sim.events_processed - before == 1
-
     def test_interrupted_waiter_cancels_cleanly(self, sim):
         res = Resource(sim, capacity=1)
         holder = res.request()

@@ -1,10 +1,9 @@
 """Striped multi-stream transfer properties (repro.transport.striped).
 
 The load-bearing contract is *bit-identical reassembly*: for every
-stripe width, every transport, in packet and fluid mode, healthy or
-with a stripe member killed mid-transfer, ``read_blocks`` returns
-exactly the sequence the width-1 (unstriped) path returns.  Latency
-may change; bytes never do.
+stripe width and every transport, healthy or with a stripe member
+killed mid-transfer, ``read_blocks`` returns exactly the sequence the
+width-1 (unstriped) path returns.  Latency may change; bytes never do.
 """
 
 import pytest
@@ -13,7 +12,6 @@ from repro.apps.wancache import WAN_PORT, WanBulkConfig, run_wan_bulk
 from repro.cluster.topology import wan_topology
 from repro.errors import StripedTransferError
 from repro.faults.plan import FaultPlan, HostFault, injecting
-from repro.sim.flow import simulation_mode
 from repro.sockets.factory import ProtocolAPI
 from repro.transport.striped import (
     StripedStream,
@@ -78,12 +76,6 @@ class TestReassemblyBitIdentity:
 
     def test_empty_read_returns_empty(self):
         assert striped_read("socketvia", 4, block_ids=[]) == []
-
-    def test_fluid_mode_reassembles_identically(self):
-        reference = reassembly_digest(striped_read("socketvia", 4))
-        with simulation_mode("fluid"):
-            fluid = reassembly_digest(striped_read("socketvia", 4))
-        assert fluid == reference
 
 
 class TestFailover:

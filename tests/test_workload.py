@@ -24,7 +24,6 @@ from repro.apps.workload import (
     uniform_tenants,
 )
 from repro.errors import WorkloadError
-from repro.sim.flow import simulation_mode
 from repro.sim.rng import RandomStreams
 
 
@@ -222,7 +221,7 @@ class TestDeterminism:
 
 class TestOpenLoopContract:
     """Arrivals exist before the simulation: the offered load cannot
-    depend on transport, simulation mode, or completion times."""
+    depend on transport or completion times."""
 
     CFG = dict(hosts=4, rate_per_shard=300.0, horizon=0.02, seed=23)
 
@@ -230,13 +229,6 @@ class TestOpenLoopContract:
         sv = run_serve(ServeConfig(protocol="socketvia", **self.CFG))
         tcp = run_serve(ServeConfig(protocol="tcp", **self.CFG))
         assert sv.offered == tcp.offered
-
-    def test_offered_load_independent_of_simulation_mode(self):
-        results = {}
-        for mode in ("packet", "fluid"):
-            with simulation_mode(mode):
-                results[mode] = run_serve(ServeConfig(**self.CFG))
-        assert results["packet"].offered == results["fluid"].offered
 
     def test_schedule_not_mutated_by_the_run(self):
         config = ServeConfig(**self.CFG)
