@@ -89,33 +89,6 @@ class ImageDataset:
     # -- constructors -----------------------------------------------------------------
 
     @classmethod
-    def square(cls, total_bytes: int = PAPER_IMAGE_BYTES, n_blocks: int = 64) -> "ImageDataset":
-        """A square image of *total_bytes* in (near-)square blocks.
-
-        ``n_blocks`` must be a perfect square or twice one (8 -> 4x2).
-        """
-        edge = math.isqrt(total_bytes)
-        if edge * edge != total_bytes:
-            raise WorkloadError(f"total_bytes {total_bytes} is not a square")
-        root = math.isqrt(n_blocks)
-        if root * root == n_blocks:
-            bx = by = root
-        elif root * (root + 1) == n_blocks:  # pragma: no cover - convenience
-            bx, by = root + 1, root
-        else:
-            root2 = math.isqrt(n_blocks // 2)
-            if 2 * root2 * root2 != n_blocks:
-                raise WorkloadError(
-                    f"cannot build a grid of {n_blocks} blocks"
-                )
-            bx, by = 2 * root2, root2
-        if edge % bx or edge % by:
-            raise WorkloadError(
-                f"grid {bx}x{by} does not divide a {edge}x{edge} image"
-            )
-        return cls(edge, edge, bx, by)
-
-    @classmethod
     def with_block_bytes(
         cls, total_bytes: int = PAPER_IMAGE_BYTES, block_bytes: int = 16 * 1024
     ) -> "ImageDataset":

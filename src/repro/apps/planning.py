@@ -32,7 +32,6 @@ __all__ = [
     "PipelinePlan",
     "default_block_candidates",
     "sustainable_rate",
-    "partial_update_latency",
     "chunk_fetch_latency",
     "plan_block_for_rate",
     "plan_block_for_latency",
@@ -125,25 +124,6 @@ def sustainable_rate(plan: PipelinePlan, block: int) -> float:
     repo = m.host_send_time(chunk) + m.host_recv_time(ACK_BYTES)
     rates.append(1.0 / (per_chain * repo))
     return min(rates)
-
-
-def partial_update_latency(plan: PipelinePlan, block: int, n_blocks: int = 1) -> float:
-    """Predicted *unloaded* end-to-end latency of a partial update of
-    *n_blocks* blocks: hop-by-hop store-and-forward through the
-    pipeline plus any per-stage computation."""
-    m = plan.model
-    chunk = block + BUFFER_HEADER_BYTES
-    hops = plan.middle_stages + 1  # repo->s1, s1->s2, s2->viz
-    unit = min(chunk, 1 << 16)
-    per_hop = m.des_message_latency(unit) if chunk <= (1 << 16) else (
-        m.host_send_time(chunk) + m.wire_unit_service(chunk)
-        + m.l_wire + m.host_recv_time(chunk)
-    )
-    latency = hops * per_hop
-    if plan.compute_ns_per_byte > 0:
-        # Middle stages and viz each process the chunk once.
-        latency += (plan.middle_stages + 1) * block * plan.compute_ns_per_byte * 1e-9
-    return latency * n_blocks
 
 
 def plan_block_for_rate(

@@ -14,14 +14,14 @@ Three experiments, each on a fresh two-node cluster:
 All functions build their own simulator and are deterministic.
 
 The module also declares the **kernel throughput suite**
-(:func:`kernel_suite`, ``python -m repro bench run kernel``): seven
+(:func:`kernel_suite`, ``python -m repro bench run kernel``): six
 workloads exercising the simulation kernel itself — timeout chains,
 process ping-pong, store churn, a TCP-style retransmit timer wheel,
-deadline-timer cancellation, batched ``schedule_many`` bursts, and a
-huge-pending-set timer flood.  Event counts, peak heap sizes, and the
-``pool_hits`` / ``compactions`` fast-path counters are deterministic
-(and gated exactly by the comparator); the wall-clock columns measure
-the host and are gated warn-only.
+deadline-timer cancellation, and a huge-pending-set timer flood.
+Event counts, peak heap sizes, and the ``pool_hits`` / ``compactions``
+fast-path counters are deterministic (and gated exactly by the
+comparator); the wall-clock columns measure the host and are gated
+warn-only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.sim.core import Simulator
 from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.resources import Store
-from repro.sim.units import bytes_per_sec_to_mbps
 from repro.sockets.factory import ProtocolAPI
 from repro.via.descriptors import Descriptor
 from repro.via.nic import ViaNic
@@ -49,41 +48,18 @@ __all__ = [
     "streaming_bandwidth",
     "via_ping_pong_latency",
     "via_streaming_bandwidth",
-    "latency_series",
-    "bandwidth_series",
-    "MicrobenchResult",
     "KernelPoint",
     "kernel_timeout_chain",
     "kernel_process_pingpong",
     "kernel_store_churn",
     "kernel_timer_wheel",
     "kernel_timer_cancel",
-    "kernel_schedule_burst",
     "kernel_timer_flood",
     "kernel_suite",
     "BENCH_SUITES",
 ]
 
 PORT = 5000
-
-
-@dataclass
-class MicrobenchResult:
-    """One micro-benchmark point."""
-
-    protocol: str
-    msg_size: int
-    value: float  # seconds (latency) or bytes/s (bandwidth)
-
-    @property
-    def usec(self) -> float:
-        """Latency in microseconds."""
-        return self.value * 1e6
-
-    @property
-    def mbps(self) -> float:
-        """Bandwidth in Mbps (10^6 bits)."""
-        return bytes_per_sec_to_mbps(self.value)
 
 
 def _two_nodes(seed: int = 1) -> Cluster:
@@ -277,37 +253,6 @@ def via_streaming_bandwidth(
 
 
 # ---------------------------------------------------------------------------
-# Figure-4 series
-# ---------------------------------------------------------------------------
-
-
-def latency_series(sizes, protocols=("via", "socketvia", "tcp")) -> List[MicrobenchResult]:
-    """Figure 4(a): one-way latency for each protocol and size."""
-    out = []
-    for proto in protocols:
-        for size in sizes:
-            if proto == "via":
-                value = via_ping_pong_latency(size)
-            else:
-                value = ping_pong_latency(proto, size)
-            out.append(MicrobenchResult(proto, size, value))
-    return out
-
-
-def bandwidth_series(sizes, protocols=("via", "socketvia", "tcp")) -> List[MicrobenchResult]:
-    """Figure 4(b): streaming bandwidth for each protocol and size."""
-    out = []
-    for proto in protocols:
-        for size in sizes:
-            if proto == "via":
-                value = via_streaming_bandwidth(size)
-            else:
-                value = streaming_bandwidth(proto, size)
-            out.append(MicrobenchResult(proto, size, value))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Kernel throughput suite (`python -m repro bench run kernel`)
 # ---------------------------------------------------------------------------
 #
@@ -422,7 +367,7 @@ def kernel_timer_wheel(
     """TCP-style retransmit timers: a far-horizon timer per connection,
     re-armed (cancel + new timeout) in bulk every tick.  Almost every
     scheduled timer is cancelled before it can fire — the lazy-
-    cancellation + graveyard-reuse path.  Only the last-armed timer per
+    cancellation path.  Only the last-armed timer per
     connection, the tick timeouts, and process bookkeeping fire."""
     sim = Simulator()
 
@@ -469,32 +414,6 @@ def kernel_timer_cancel(
     return _point("timer_cancel", sim, live, wall)
 
 
-def kernel_schedule_burst(bursts: int = 200, size: int = 1_000) -> KernelPoint:
-    """Pre-succeeded events scheduled *size* at a time through
-    ``schedule_many`` — the batched enqueue path transports use for
-    multi-segment messages."""
-    sim = Simulator()
-
-    def noop(event):
-        pass
-
-    total = 0
-    t0 = _time.perf_counter()
-    for _ in range(bursts):
-        pairs = []
-        for i in range(size):
-            ev = Event(sim)
-            ev._ok = True
-            ev._value = None
-            ev.callbacks = noop
-            pairs.append((ev, float(i % 7)))
-            total += 1
-        sim.schedule_many(pairs)
-        sim.run_all()
-    wall = _time.perf_counter() - t0
-    return _point("schedule_burst", sim, total, wall)
-
-
 def kernel_timer_flood(n: int = 100_000, span: int = 512) -> KernelPoint:
     """*n* pre-armed timers spread across *span* simulated seconds,
     scheduled up front and drained to empty — the huge-pending-set
@@ -514,7 +433,7 @@ def kernel_timer_flood(n: int = 100_000, span: int = 512) -> KernelPoint:
 
 
 def kernel_suite(quick: bool = False) -> ExperimentTable:
-    """Run the seven kernel workloads and tabulate them.
+    """Run the six kernel workloads and tabulate them.
 
     ``events``, ``expected_events``, ``heap_peak``, ``pool_hits`` and
     ``compactions`` are deterministic simulation outputs; ``wall_s`` /
@@ -528,7 +447,6 @@ def kernel_suite(quick: bool = False) -> ExperimentTable:
             kernel_store_churn(10_000),
             kernel_timer_wheel(conns=2_000, rearms_per_tick=100, ticks=50),
             kernel_timer_cancel(live=256, cancels=2_000),
-            kernel_schedule_burst(bursts=20, size=500),
             kernel_timer_flood(10_000, span=64),
         ]
     else:
@@ -538,7 +456,6 @@ def kernel_suite(quick: bool = False) -> ExperimentTable:
             kernel_store_churn(),
             kernel_timer_wheel(),
             kernel_timer_cancel(),
-            kernel_schedule_burst(),
             kernel_timer_flood(100_000),
         ]
     table = ExperimentTable(

@@ -115,17 +115,5 @@ class ExperimentTable:
             json.dump(self.to_dict(), fh, indent=1)
         return path
 
-    @classmethod
-    def load_json(cls, path: str) -> "ExperimentTable":
-        """Rebuild a table from a saved ``.json`` file."""
-        with open(path) as fh:
-            d = json.load(fh)
-        table = cls(d["experiment_id"], d["title"], d["columns"])
-        for row in d["rows"]:
-            table.add_row(*row)
-        for note in d["notes"]:
-            table.add_note(note)
-        return table
-
     def __str__(self) -> str:  # pragma: no cover
         return self.render()

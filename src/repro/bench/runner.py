@@ -27,7 +27,7 @@ from repro.bench.schema import SCHEMA_VERSION, BenchRecord
 from repro.bench.suites import BenchSuite, get_suite
 from repro.sim.core import global_events_processed
 from repro.sim.stats import Summary
-from repro.sim.trace import TraceRecord, Tracer, layer_of, tracing
+from repro.sim.trace import TraceRecord, Tracer, tracing
 
 __all__ = ["TraceAggregator", "run_experiment", "git_sha"]
 
@@ -65,16 +65,6 @@ class TraceAggregator:
             s = Summary.of(self._times.get(kind, ()))
             out[kind] = {"events": self._events[kind],
                          "time_s": s.total}
-        return out
-
-    def layers(self) -> Dict[str, Dict[str, float]]:
-        """Per-layer aggregate of :meth:`kinds` via the trace catalog."""
-        out: Dict[str, Dict[str, float]] = {}
-        for kind, stats in self.kinds().items():
-            bucket = out.setdefault(layer_of(kind),
-                                    {"events": 0, "time_s": 0.0})
-            bucket["events"] += stats["events"]
-            bucket["time_s"] += stats["time_s"]
         return out
 
 

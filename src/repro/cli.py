@@ -255,7 +255,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_experiments(names, for_run: bool) -> list:
+def _resolve_experiments(names) -> list:
     """Map CLI experiment ids to canonical suite ids (exit code 2 on
     unknown names is handled by the caller catching KeyError)."""
     from repro.bench.suites import get_suite
@@ -269,7 +269,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench.executor import SweepExecutor
 
     try:
-        experiments = _resolve_experiments(args.experiments, for_run=True)
+        experiments = _resolve_experiments(args.experiments)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -343,8 +343,7 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.bench.comparator import Tolerance, compare_dirs
 
     try:
-        experiments = (_resolve_experiments(args.experiments, for_run=False)
-                       or None)
+        experiments = _resolve_experiments(args.experiments) or None
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2

@@ -107,7 +107,7 @@ class Host:
 
     # -- computation ------------------------------------------------------------
 
-    def compute(self, seconds: float, priority: int = 0) -> Generator[Event, Any, None]:
+    def compute(self, seconds: float) -> Generator[Event, Any, None]:
         """Charge *seconds* of application CPU time, scaled by slowdown.
 
         Usage: ``yield from host.compute(t)``.  The slowdown factor is
@@ -115,17 +115,16 @@ class Host:
         block, matching the paper's per-block slow/fast coin flip.
         """
         factor = self.slowdown.factor(self)
-        yield from self.cpu.use(seconds * factor, priority=priority)
+        yield from self.cpu.use(seconds * factor)
 
     def compute_bytes(
         self,
         nbytes: float,
         ns_per_byte: Optional[float] = None,
-        priority: int = 0,
     ) -> Generator[Event, Any, None]:
         """Charge linear-in-size computation (default 18 ns/byte)."""
         rate = self.compute_ns_per_byte if ns_per_byte is None else ns_per_byte
-        yield from self.compute(nbytes * rate * 1e-9, priority=priority)
+        yield from self.compute(nbytes * rate * 1e-9)
 
     def compute_time(self, nbytes: float, ns_per_byte: Optional[float] = None) -> float:
         """The *unscaled* application time for *nbytes* (no slowdown)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import Simulator, Store
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -104,9 +104,6 @@ class LinkDirection:
         self._on_start = on_start
         self._queue: deque = deque()
         self._busy = False
-        #: Completions outstanding from a send_many() batch; while > 0 the
-        #: wire stays busy without a queue entry per transmission.
-        self._batch_left = 0
         self.busy_time = 0.0
         self.bytes_carried = 0
         self.tx_count = 0
@@ -123,86 +120,6 @@ class LinkDirection:
         else:
             self._start(tx)
 
-    def send_many(self, txs: Iterable[Transmission]) -> None:
-        """Enqueue a burst of transmissions with one batched schedule.
-
-        For a single sender this is timing-identical to calling
-        :meth:`send` per transmission: the burst occupies the wire
-        back-to-back, and each transmission's completion time is the
-        cumulative hold computed analytically up front (the same
-        recurrence a chained per-completion callback would produce, and
-        the single-machine column of :func:`repro.net.segsim.\
-        flow_shop_completion_times`).  All completions go onto the heap
-        in one :meth:`~repro.sim.core.Simulator.schedule_many` call
-        instead of one callback-chained timeout per transmission.
-
-        Explicit opt-in for transports that present whole multi-unit
-        messages: the start hook (cut-through routing) runs for every
-        transmission at enqueue time with its *analytic* start timestamp,
-        so on a **contended** destination port the downlink claims its
-        FIFO slots for the whole burst at once rather than one
-        transmission at a time.  Uncontended paths — and any path where
-        this direction is the bottleneck — are unaffected.
-
-        Falls back to plain queueing when the wire is already busy.
-        """
-        txs = list(txs)
-        if not txs:
-            return
-        if self._busy:
-            self._queue.extend(txs)
-            return
-        sim = self.sim
-        now = sim.now
-        on_start = self._on_start
-        on_done = self._on_batch_transmitted
-        pairs = []
-        offset = 0.0
-        for tx in txs:
-            start = now + offset
-            hold = max(tx.service_time, tx.ready_at - start)
-            if on_start is not None:
-                # Report the *effective* wire start (completion minus
-                # service time): when ready_at stretched the hold — e.g.
-                # a VIA burst whose data is still being copied by the
-                # host — cut-through routing must not promise the
-                # destination the data earlier than it actually exits.
-                on_start(tx, start + hold - tx.service_time)
-            ev = sim.event()
-            ev._ok = True
-            ev._value = tx
-            ev.callbacks = on_done  # fresh event: single-waiter store
-            offset += hold
-            pairs.append((ev, offset))
-        self._busy = True
-        self._batch_left = len(pairs)
-        sim.schedule_many(pairs)
-
-    def _on_batch_transmitted(self, event) -> None:
-        tx: Transmission = event._value
-        self.busy_time += tx.service_time
-        self.bytes_carried += tx.size
-        self.tx_count += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "cluster.link", link=self.name, size=tx.size, dst=tx.dst,
-                tag=tx.tag,
-            )
-        left = self._batch_left - 1
-        self._batch_left = left
-        if left == 0:
-            # Batch drained: hand the wire to whatever queued meanwhile.
-            if self._queue:
-                self._start(self._queue.popleft())
-            else:
-                self._busy = False
-        if self._deliver is not None:
-            faults = self.faults
-            if faults is not None:
-                faults.deliver(tx)
-            else:
-                self._deliver(tx)
-
     def _start(self, tx: Transmission) -> None:
         self._busy = True
         now = self.sim.now
@@ -213,9 +130,10 @@ class LinkDirection:
         hold = max(tx.service_time, tx.ready_at - now)
         if self._on_start is not None:
             # Report the *effective* wire start (completion minus service
-            # time), exactly like send_many does: when ready_at stretched
-            # the hold, cut-through routing must not promise the
-            # destination the data earlier than it actually exits.
+            # time): when ready_at stretched the hold — e.g. a VIA burst
+            # whose data is still being copied by the host — cut-through
+            # routing must not promise the destination the data earlier
+            # than it actually exits.
             self._on_start(tx, now + hold - tx.service_time)
         ev = self.sim.timeout(hold, tx)
         ev.add_callback(self._on_transmitted)

@@ -15,7 +15,6 @@ from repro.datacutter.buffers import (
 )
 from repro.datacutter.filters import Filter, FilterContext, maybe_generator
 from repro.datacutter.group import FilterGroup, FilterSpec, Placement, StreamSpec
-from repro.datacutter.placement_opt import plan_placement, predict_host_loads
 from repro.datacutter.runtime import AppInstance, DataCutterRuntime, UnitOfWork
 from repro.datacutter.scheduling import (
     AdmissionQueue,
@@ -39,8 +38,6 @@ __all__ = [
     "FilterSpec",
     "StreamSpec",
     "Placement",
-    "plan_placement",
-    "predict_host_loads",
     "DataCutterRuntime",
     "AppInstance",
     "UnitOfWork",

@@ -54,13 +54,6 @@ class DataBuffer:
         if self.size < 0:
             raise ValueError(f"negative buffer size {self.size}")
 
-    def with_size(self, size: int, **meta: Any) -> "DataBuffer":
-        """A derived buffer (same UOW) of a new size — the common shape
-        of a filter transforming data as it flows through."""
-        merged = dict(self.meta)
-        merged.update(meta)
-        return DataBuffer(size=size, data=self.data, uow_id=self.uow_id, meta=merged)
-
 
 class EOW:
     """End-of-work marker (singleton-ish; identity is irrelevant)."""

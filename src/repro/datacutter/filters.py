@@ -18,7 +18,7 @@ context::
                 if buf is None:          # end of work
                     return
                 yield from ctx.compute_bytes(buf.size)
-                yield from ctx.write(buf.with_size(buf.size // 4))
+                yield from ctx.write_new(buf.size // 4)
 
 The runtime sends end-of-work markers on all output streams when
 ``process`` returns; filters never emit EOW themselves.

@@ -172,22 +172,6 @@ class FilterGroup:
 
     # -- placement -------------------------------------------------------------------------
 
-    def place_round_robin(self, hosts: Sequence[str]) -> Placement:
-        """Assign copies to *hosts* in declaration order, round-robin.
-
-        The paper places each copy on a different node; give this as
-        many hosts as there are copies for that effect.
-        """
-        if not hosts:
-            raise PlacementError("no hosts to place on")
-        placement = Placement()
-        i = 0
-        for spec in self.filters.values():
-            for copy in range(spec.copies):
-                placement.assignments[(spec.name, copy)] = hosts[i % len(hosts)]
-                i += 1
-        return placement
-
     def place(self, mapping: Dict[str, Sequence[str]]) -> Placement:
         """Explicit placement: filter name -> list of hosts (one per copy)."""
         placement = Placement()

@@ -353,7 +353,6 @@ class AppInstance:
         drains them with ``yield from queue.get()`` and treats ``None``
         as end-of-stream.  Offers beyond *capacity* are refused and
         counted — see :class:`~repro.datacutter.scheduling.AdmissionQueue`.
-        Registered queues are aggregated by :meth:`admission_stats`.
         """
         if name in self.admission:
             raise DataCutterError(
@@ -364,10 +363,6 @@ class AppInstance:
         )
         self.admission[name] = queue
         return queue
-
-    def admission_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-queue ``{admitted, dropped, high_water, depth}`` counts."""
-        return {name: q.stats() for name, q in self.admission.items()}
 
     def record(self, metric: str, value: float) -> None:
         """Record a sample into an app-wide tally and time series."""

@@ -9,9 +9,11 @@ delay randomized to de-synchronize competing retriers — draws from a
 function of the policy and the connection: bit-identical across runs
 and across executor workers.
 
-Used by :meth:`repro.transport.base.StackBase._connect_endpoint`
-(pass ``retry=RetryPolicy(...)`` to any stack built on it); on
-exhaustion the stack raises :class:`repro.errors.RetryExhausted`
+Used by :meth:`repro.transport.base.StackBase._connect_endpoint`, the
+active open of the TCP stack (pass ``retry=RetryPolicy(...)`` to
+``ProtocolAPI(cluster, "tcp", ...)``); SocketVIA connects through the
+VIA NIC and a UDP connect sends nothing, so neither stack accepts the
+option.  On exhaustion the stack raises :class:`repro.errors.RetryExhausted`
 carrying the attempt count and the backoff schedule actually waited.
 """
 

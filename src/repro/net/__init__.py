@@ -3,8 +3,7 @@
 * :class:`~repro.net.model.ProtocolCostModel` — LogGP-style pipelined
   three-stage model (sender host / wire / receiver host).
 * :mod:`repro.net.calibration` — parameter sets calibrated to the
-  paper's Figure 4 (``TCP_CLAN_LANE``, ``SOCKETVIA_CLAN``, ``VIA_CLAN``)
-  and scipy-based fitting utilities.
+  paper's Figure 4 (``TCP_CLAN_LANE``, ``SOCKETVIA_CLAN``, ``VIA_CLAN``).
 """
 
 from repro.net.calibration import (
@@ -15,19 +14,16 @@ from repro.net.calibration import (
     TCP_CLAN_LANE,
     TCP_FAST_ETHERNET,
     VIA_CLAN,
-    fit_cost_model,
     get_model,
 )
-from repro.net.message import Message, Segment
+from repro.net.message import Message
 from repro.net.model import ProtocolCostModel
 
 __all__ = [
     "ProtocolCostModel",
     "Message",
-    "Segment",
     "MODELS",
     "get_model",
-    "fit_cost_model",
     "TCP_CLAN_LANE",
     "SOCKETVIA_CLAN",
     "VIA_CLAN",

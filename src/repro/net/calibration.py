@@ -1,4 +1,4 @@
-"""Calibrated parameter sets and fitting utilities.
+"""Calibrated parameter sets.
 
 The three transports are calibrated so the analytic model reproduces the
 paper's measured micro-benchmark endpoints (Section 5.1):
@@ -18,20 +18,13 @@ Derived quantities the application experiments depend on also emerge:
 TCP needs ~16 KB messages to approach its required bandwidth while
 SocketVIA is within a few percent of peak at 2 KB — the paper's
 perfect-pipelining block sizes (16 KB vs 2 KB at 18 ns/byte compute).
-
-:func:`fit_cost_model` re-derives host-overhead parameters from
-(latency, bandwidth) observations with scipy least squares, both as a
-calibration audit and as a tool for users to model their own fabric.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.sim.units import mbps_to_bytes_per_sec, nsec, usec
+from repro.sim.units import nsec, usec
 from repro.net.model import ProtocolCostModel
 
 __all__ = [
@@ -43,7 +36,6 @@ __all__ = [
     "get_model",
     "PAPER_MICROBENCH",
     "PAPER_RESULTS",
-    "fit_cost_model",
 ]
 
 
@@ -170,63 +162,3 @@ PAPER_RESULTS = {
     "zoom_query_chunks": 4,
 }
 
-
-def fit_cost_model(
-    base: ProtocolCostModel,
-    latency_points: Sequence[Tuple[int, float]],
-    bandwidth_points: Sequence[Tuple[int, float]],
-    free_params: Iterable[str] = ("o_send_msg", "o_recv_msg", "o_send_seg", "o_recv_seg", "g_wire"),
-) -> ProtocolCostModel:
-    """Fit selected parameters of *base* to observed measurements.
-
-    Parameters
-    ----------
-    base:
-        Starting model; fixed parameters are taken from it.
-    latency_points:
-        ``(message_bytes, latency_seconds)`` observations.
-    bandwidth_points:
-        ``(message_bytes, bytes_per_second)`` observations.
-    free_params:
-        Names of :class:`ProtocolCostModel` fields to optimize.
-
-    Returns
-    -------
-    A new model with fitted parameters (all non-negative).
-
-    Notes
-    -----
-    Residuals are relative (divided by the observation) so microsecond
-    latencies and megabyte bandwidths carry equal weight.
-    """
-    # Imported here, not at module level: scipy is slow and large to
-    # import, and nothing on the simulation path fits models.
-    from scipy.optimize import least_squares
-
-    free = list(free_params)
-    x0 = np.array([getattr(base, p) for p in free], dtype=float)
-    scale = np.where(x0 > 0, x0, 1e-6)
-
-    def build(x: np.ndarray) -> ProtocolCostModel:
-        return dataclasses.replace(
-            base, **{p: max(float(v), 0.0) for p, v in zip(free, x)}
-        )
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        model = build(x)
-        res = []
-        for size, lat in latency_points:
-            res.append((model.message_latency(size) - lat) / lat)
-        for size, bw in bandwidth_points:
-            res.append((model.streaming_bandwidth(size) - bw) / bw)
-        return np.asarray(res)
-
-    fit = least_squares(
-        residuals,
-        x0,
-        x_scale=scale,
-        bounds=(0.0, np.inf),
-        xtol=1e-12,
-        ftol=1e-12,
-    )
-    return build(fit.x)

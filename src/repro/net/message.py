@@ -1,4 +1,4 @@
-"""Message and segment records exchanged by the simulated transports.
+"""Message records exchanged by the simulated transports.
 
 Payloads are ordinary Python objects carried by reference — the DES
 times *sizes*, it does not serialize bytes.  ``size`` is therefore the
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-__all__ = ["Message", "Segment", "next_message_id"]
+__all__ = ["Message", "next_message_id"]
 
 _msg_counter = itertools.count(1)
 
@@ -51,13 +51,3 @@ class Message:
         if self.size < 0:
             raise ValueError(f"negative message size {self.size}")
 
-
-@dataclass
-class Segment:
-    """One wire segment of a message (segment-fidelity mode only)."""
-
-    message: Message
-    index: int
-    size: int
-    is_last: bool
-    conn_id: Optional[int] = None

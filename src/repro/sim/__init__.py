@@ -14,8 +14,8 @@ loop behind ``run``/``run_all``/``step``).
 from repro.sim.core import Simulator, simulation_mode
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.monitor import SeriesRecorder, Tally
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
+from repro.sim.process import Process
+from repro.sim.resources import Container, Request, Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import Summary
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
@@ -30,9 +30,7 @@ __all__ = [
     "AnyOf",
     "simulation_mode",
     "Process",
-    "Interrupt",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
     "Container",

@@ -20,15 +20,12 @@ The run loop is deliberately allocation-light (see docs/ARCHITECTURE.md,
 "Kernel performance"):
 
 * **Tombstone heap** — :meth:`Event.cancel` marks the heap entry dead in
-  O(1); the loop discards tombstones on pop without running callbacks,
-  advancing the clock, or invoking trace hooks.  When tombstones dominate
-  the heap a periodic compaction sweeps them out, preserving
-  ``(time, priority, seq)`` order.
+  O(1); the loop discards tombstones on pop without running callbacks or
+  advancing the clock.  When tombstones dominate the heap a periodic
+  compaction sweeps them out, preserving ``(time, priority, seq)`` order.
 * **Timeout free list** — processed :class:`Timeout` instances that are
   provably unreferenced outside the kernel (a ``sys.getrefcount`` probe)
   are re-armed by the next :meth:`timeout` call instead of reallocated.
-* **Batched scheduling** — :meth:`schedule_many` pushes a pre-computed
-  burst of (event, delay) pairs with one Python call.
 * **One heap, one loop** — the pending set is a plain ``list`` kept in
   heap order by C :mod:`heapq`, and :meth:`run`, :meth:`run_all` and
   :meth:`step` all drive the single inlined :meth:`_run_loop`.
@@ -36,10 +33,9 @@ The run loop is deliberately allocation-light (see docs/ARCHITECTURE.md,
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import AbstractContextManager, nullcontext
 from heapq import heapify, heappop, heappush
-from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import EventLifecycleError, StopSimulation
 from repro.sim.events import (
@@ -107,7 +103,7 @@ class Simulator:
     'done'
     """
 
-    #: Heap priority for kernel-internal events (process starts, interrupts).
+    #: Heap priority for kernel-internal events (process starts).
     URGENT = 0
     #: Default heap priority for user events.
     NORMAL = 1
@@ -115,8 +111,6 @@ class Simulator:
     #: Cap on the Timeout free list; beyond this, processed timeouts are
     #: simply dropped for the garbage collector.
     _POOL_MAX = 4096
-    #: Cap on the cancelled-timeout graveyard (see :meth:`timeout`).
-    _GRAVE_MAX = 8192
     #: Tombstone compaction trigger: compact when at least this many
     #: cancelled entries sit on the heap *and* they are at least three
     #: quarters of it.  Below the threshold tombstones are cheaper to
@@ -129,23 +123,16 @@ class Simulator:
         #: Pending ``(time, priority, seq, event)`` entries in heap order.
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._trace_hooks: List[Any] = []
         #: Cancelled-but-unpopped entries currently on the heap.
         self._tombstones = 0
         #: Free lists of processed, unreferenced Timeout/Event instances.
         self._timeout_pool: List[Timeout] = []
         self._event_pool: List[Event] = []
-        #: Cancelled timeouts awaiting reuse, oldest first.  A cancelled
-        #: timer becomes re-armable as soon as the caller drops its
-        #: reference — typically long before its stale heap entry pops —
-        #: so retransmit-style arm/cancel churn runs allocation-free.
-        self._grave: Deque[Timeout] = deque()
         #: Events processed by this simulator (tombstone discards excluded).
         self.events_processed = 0
         #: High-water mark of the heap, observed at run-loop iterations.
         self.heap_peak = 0
-        #: Allocations avoided via the Timeout/Event free lists and the
-        #: cancelled-timeout graveyard.
+        #: Allocations avoided via the Timeout/Event free lists.
         self.pool_hits = 0
         #: Tombstone compaction sweeps performed.
         self.compactions = 0
@@ -165,9 +152,7 @@ class Simulator:
         """
         heap = self._heap
         while heap and heap[0][3]._gen != heap[0][2]:
-            event = heappop(heap)[3]
-            if event._gen == -1:
-                event._detached = True
+            heappop(heap)
             self._tombstones -= 1
         return heap[0][0] if heap else _INF
 
@@ -185,43 +170,6 @@ class Simulator:
         heappush(self._heap, (self._now + delay, priority, seq, event))
         event._gen = seq
         self._seq = seq + 1
-
-    def schedule_many(
-        self,
-        pairs: Iterable[Tuple[Event, float]],
-        priority: int = NORMAL,
-    ) -> int:
-        """Schedule a batch of ``(event, delay)`` pairs in one call.
-
-        Equivalent to ``for event, delay in pairs: schedule(event, delay,
-        priority)`` but with the heap, clock, and sequence counter bound
-        once — the way transports schedule analytically-spaced segment
-        completions (N heap pushes, one Python call).  Returns the number
-        of events scheduled.  Raises :class:`EventLifecycleError` on a
-        negative or NaN delay; pairs before the offender stay scheduled.
-        """
-        heap = self._heap
-        now = self._now
-        seq = self._seq
-        push = heappush
-        n = 0
-        try:
-            for event, delay in pairs:
-                if delay < 0:
-                    raise EventLifecycleError(
-                        f"cannot schedule into the past ({delay})"
-                    )
-                if delay != delay:
-                    raise EventLifecycleError(
-                        "cannot schedule at NaN delay (would corrupt heap ordering)"
-                    )
-                push(heap, (now + delay, priority, seq, event))
-                event._gen = seq
-                seq += 1
-                n += 1
-        finally:
-            self._seq = seq
-        return n
 
     # -- lazy cancellation ------------------------------------------------------
 
@@ -242,20 +190,10 @@ class Simulator:
         number, and live entries keep their original ``(time, priority,
         seq)`` keys through the re-heapify, so pop order is unchanged.
         The list object is reused in place because the run loop holds a
-        direct reference.  Swept entries whose event is still cancelled
-        are flagged ``_detached`` so the graveyard reuse probe (see
-        :meth:`timeout`) knows the heap no longer references them and
-        the timeout may be re-armed immediately.
+        direct reference.
         """
         heap = self._heap
-        live = []
-        append = live.append
-        for entry in heap:
-            event = entry[3]
-            if event._gen == entry[2]:
-                append(entry)
-            elif event._gen == -1:
-                event._detached = True
+        live = [entry for entry in heap if entry[3]._gen == entry[2]]
         heapify(live)
         heap[:] = live
         self._tombstones = 0
@@ -306,36 +244,6 @@ class Simulator:
             self._seq = seq + 1
             self.pool_hits += 1
             return t
-        grave = self._grave
-        if grave and _getrefcount is not None:
-            # Reuse the oldest cancelled timeout, but only if nothing
-            # outside the kernel can still see it: expected refcount is the
-            # frame-local baseline, plus one while its stale heap entry has
-            # not been dropped yet.  A still-referenced candidate rotates to
-            # the back so one long-lived caller reference cannot wedge the
-            # queue.
-            cand = grave.popleft()
-            expect = _LOCAL_REFS if cand._detached else _LOCAL_REFS + 1
-            if _getrefcount(cand) == expect:
-                if delay < 0:
-                    raise ValueError(f"negative timeout delay {delay!r}")
-                if delay != delay:
-                    raise EventLifecycleError(
-                        "cannot schedule at NaN delay (would corrupt heap ordering)"
-                    )
-                cand.delay = delay
-                cand.callbacks = None
-                cand._ok = True
-                cand._value = value
-                cand.defused = False
-                cand._cancelled = False
-                seq = self._seq
-                heappush(self._heap, (self._now + delay, 1, seq, cand))
-                cand._gen = seq
-                self._seq = seq + 1
-                self.pool_hits += 1
-                return cand
-            grave.append(cand)
         return Timeout(self, delay, value)
 
     def process(
@@ -353,19 +261,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition that fires when any event in *events* has fired."""
         return AnyOf(self, list(events))
-
-    # -- tracing ---------------------------------------------------------------
-
-    def add_trace_hook(self, hook: Any) -> None:
-        """Register a callable ``hook(time, event)`` invoked per processed event."""
-        self._trace_hooks.append(hook)
-
-    def remove_trace_hook(self, hook: Any) -> None:
-        """Unregister a trace hook (no-op if absent)."""
-        try:
-            self._trace_hooks.remove(hook)
-        except ValueError:
-            pass
 
     # -- the loop ---------------------------------------------------------------
 
@@ -394,14 +289,12 @@ class Simulator:
 
         Everything touched per event is bound to a local: the heap (list
         identity is stable — compaction rewrites it in place), heappop,
-        the trace-hook list (mutated in place by add/remove), the timeout
-        free list, and the refcount probe.  Counter attributes are flushed
+        the free lists, and the refcount probe.  Counter attributes are flushed
         back in the ``finally`` block so exceptions (including simulation
         failures propagated out of callbacks) keep the totals honest.
         """
         heap = self._heap
         pop = heappop
-        hooks = self._trace_hooks
         tpool = self._timeout_pool
         epool = self._event_pool
         pool_max = self._POOL_MAX
@@ -430,8 +323,6 @@ class Simulator:
                     # Stale entry (cancelled, or superseded after reuse):
                     # drop it without running callbacks, advancing the
                     # clock, or counting it as processed.
-                    if event._gen == -1:
-                        event._detached = True
                     self._tombstones -= 1
                     continue
                 self._now = when
@@ -439,9 +330,6 @@ class Simulator:
 
                 cbs = event.callbacks
                 event.callbacks = mark
-                if hooks:
-                    for hook in hooks:
-                        hook(when, event)
                 if cbs is not None:
                     if cbs.__class__ is list:
                         for callback in cbs:
@@ -460,8 +348,8 @@ class Simulator:
                 # Free lists: recycle iff the kernel holds the only
                 # reference (this frame's `event` local + the getrefcount
                 # argument == the measured baseline).  Any user reference —
-                # a held timer, a condition child, a hook that stashed the
-                # event — bumps the count and skips pooling.  Exact class
+                # a held timer, a condition child, a callback that stashed
+                # the event — bumps the count and skips pooling.  Exact class
                 # matches only: subclasses (Process, Request, ...) carry
                 # extra state and identity.
                 if cls is timeout_cls:

@@ -62,12 +62,12 @@ TRIGGERED = "triggered"
 PROCESSED = "processed"
 CANCELLED = "cancelled"
 
-# Reference-count probe used by the kernel's Timeout free list and the
-# process interrupt path.  ``sys.getrefcount(x)`` counts the call argument
-# itself, so the baseline is measured with the exact shape used at the call
-# sites (one frame-local binding passed as the single argument).  On
-# runtimes without refcounts (PyPy) the probes stay None and every
-# refcount-gated optimization is disabled — pure speed, never semantics.
+# Reference-count probe used by the kernel's Timeout/Event free lists.
+# ``sys.getrefcount(x)`` counts the call argument itself, so the baseline is
+# measured with the exact shape used at the call sites (one frame-local
+# binding passed as the single argument).  On runtimes without refcounts
+# (PyPy) the probes stay None and every refcount-gated optimization is
+# disabled — pure speed, never semantics.
 _getrefcount = getattr(sys, "getrefcount", None)
 if _getrefcount is not None:
     def _measure_local_refs() -> int:
@@ -106,7 +106,6 @@ class Event:
         "defused",
         "_cancelled",
         "_gen",
-        "_detached",
     )
 
     def __init__(self, sim: "Simulator") -> None:
@@ -120,18 +119,12 @@ class Event:
         #: Tombstone flag: a cancelled event stays on the heap but is
         #: discarded (callbacks never run) when the kernel reaches it.
         self._cancelled = False
-        # Two slots are deliberately NOT initialized here (they are written
-        # before first read, and two stores per construction matter):
-        # ``_gen``      — generation stamp.  Every schedule writes the heap
-        #                 entry's sequence number here; a popped entry whose
-        #                 stored seq differs from ``event._gen`` is stale
-        #                 (cancelled, or superseded after recycling) and is
-        #                 discarded without running callbacks.
-        # ``_detached`` — True once a cancelled event's stale heap entry has
-        #                 been dropped (pop/peek/compaction), meaning the
-        #                 heap no longer references it.  Written by
-        #                 ``cancel()``; read only by the graveyard reuse
-        #                 probe in :meth:`Simulator.timeout`.
+        # ``_gen`` is deliberately NOT initialized here (it is written
+        # before first read, and a store per construction matters): the
+        # generation stamp.  Every schedule writes the heap entry's
+        # sequence number here; a popped entry whose stored seq differs
+        # from ``event._gen`` is stale (cancelled, or superseded after
+        # recycling) and is discarded without running callbacks.
 
     # -- state inspection ---------------------------------------------------
 
@@ -212,23 +205,16 @@ class Event:
         self.sim.schedule(self)
         return self
 
-    def trigger(self, source: "Event") -> None:
-        """Copy the outcome of *source* into this event (used by conditions)."""
-        if source._ok:
-            self.succeed(source._value)
-        else:
-            self.fail(source._value)
-
     def cancel(self) -> bool:
         """Tombstone a triggered-but-unprocessed event (lazy cancellation).
 
         The heap entry stays where it is with its generation stamp
         invalidated (``_gen = -1``); the kernel discards it on pop
-        without advancing the clock, running callbacks, or invoking
-        trace hooks.  Each call is O(1) except when it crosses the
-        compaction threshold — at least ``Simulator._COMPACT_MIN``
-        tombstones on the heap *and* tombstones at least three quarters
-        of it — where it triggers one O(heap) sweep
+        without advancing the clock or running callbacks.  Each call is
+        O(1) except when it crosses the compaction threshold — at least
+        ``Simulator._COMPACT_MIN`` tombstones on the heap *and*
+        tombstones at least three quarters of it — where it triggers one
+        O(heap) sweep
         (:meth:`Simulator._compact`).  The sweep's cost is amortized
         over the ≥1024 cancels that funded it, so cancellation is
         amortized O(1) overall and the heap never grows past ~4x the
@@ -251,14 +237,6 @@ class Event:
         # without touching this object again.
         self._gen = -1
         sim = self.sim
-        if self.__class__ is Timeout and len(sim._grave) < sim._GRAVE_MAX:
-            # Park exact-class timeouts for immediate reuse: unlike the
-            # processed-timeout free list, a cancelled timer can be re-armed
-            # as soon as the caller drops its reference — no need to wait
-            # for the stale heap entry to surface.  ``_detached`` starts
-            # False because that entry is still on the heap.
-            self._detached = False
-            sim._grave.append(self)
         # Inline tombstone accounting (cancel storms are a hot path —
         # retransmit-style timers are armed and killed per message).
         t = sim._tombstones + 1

@@ -2,8 +2,8 @@
 
 Three families, mirroring what the transport and runtime models need:
 
-* :class:`Resource` / :class:`PriorityResource` — capacity-limited servers
-  (CPU cores, NIC DMA engines, switch ports).
+* :class:`Resource` — capacity-limited FIFO servers (CPU cores, send
+  mutexes).
 * :class:`Store` — FIFO channel of Python objects with optional capacity
   (socket buffers, descriptor queues, filter streams).
 * :class:`Container` — a counted pool of indistinguishable units
@@ -14,9 +14,8 @@ All blocking operations return events to be ``yield``-ed by a process.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Deque, Generator, List, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.events import _UNSET, Event
@@ -27,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Request",
     "Resource",
-    "PriorityResource",
     "Store",
     "Container",
 ]
@@ -37,13 +35,12 @@ class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
     Yield it to wait for the grant; pass it to :meth:`Resource.release`
-    when done.  If the waiting process is interrupted, call :meth:`cancel`
-    to withdraw from the queue.
+    when done.
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         # Event's slots are set here directly, with no super() chain: one
         # request is built per CPU charge, send mutex and port claim.
         self.sim = resource.sim
@@ -53,16 +50,6 @@ class Request(Event):
         self.defused = False
         self._cancelled = False
         self.resource = resource
-        self.priority = priority
-
-    def cancel(self) -> None:
-        """Withdraw this request.
-
-        Safe to call in any state: a queued request is removed from the
-        queue; a granted request is released; a processed-and-released
-        request is ignored.
-        """
-        self.resource._cancel(self)
 
 
 class Resource:
@@ -104,32 +91,17 @@ class Resource:
         """Number of requests waiting."""
         return len(self._queue)
 
-    # -- queue discipline (overridden by PriorityResource) -----------------------
-
-    def _enqueue(self, request: Request) -> None:
-        self._queue.append(request)
-
-    def _dequeue(self) -> Optional[Request]:
-        return self._queue.popleft() if self._queue else None
-
-    def _remove_from_queue(self, request: Request) -> bool:
-        try:
-            self._queue.remove(request)
-            return True
-        except ValueError:
-            return False
-
     # -- public API ---------------------------------------------------------------
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
-        req = Request(self, priority)
+        req = Request(self)
         users = self._users
         if len(users) < self.capacity and not self._queue:
             users.append(req)
             req.succeed(req)
         else:
-            self._enqueue(req)
+            self._queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -143,13 +115,13 @@ class Resource:
         if self._queue:
             self._grant_next()
 
-    def use(self, duration: float, priority: int = 0) -> Generator[Event, Any, None]:
+    def use(self, duration: float) -> Generator[Event, Any, None]:
         """Convenience: acquire, hold for *duration*, release.
 
         Intended for ``yield from cpu.use(t)`` — the canonical way the
         library charges CPU time to a host.
         """
-        req = self.request(priority)
+        req = self.request()
         yield req
         try:
             yield self.sim.timeout(duration)
@@ -160,55 +132,17 @@ class Resource:
 
     def _grant_next(self) -> None:
         users = self._users
-        while len(users) < self.capacity:
-            nxt = self._dequeue()
-            if nxt is None:
-                return
+        queue = self._queue
+        while queue and len(users) < self.capacity:
+            nxt = queue.popleft()
             users.append(nxt)
             nxt.succeed(nxt)
-
-    def _cancel(self, request: Request) -> None:
-        if self._remove_from_queue(request):
-            return
-        if request in self._users:
-            self.release(request)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<{type(self).__name__} {self.name!r} {self.count}/{self.capacity}"
             f" busy, {self.queue_length} queued>"
         )
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by ``priority`` (low first).
-
-    Ties break FIFO via a monotone sequence number.  The wait queue is a
-    ``(priority, seq, request)`` heap kept in ``_queue``, so the base
-    class's emptiness and length tests serve both classes.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
-        super().__init__(sim, capacity, name)
-        self._queue: List[Tuple[int, int, Request]] = []
-        self._pseq = 0
-
-    def _enqueue(self, request: Request) -> None:
-        heapq.heappush(self._queue, (request.priority, self._pseq, request))
-        self._pseq += 1
-
-    def _dequeue(self) -> Optional[Request]:
-        return heapq.heappop(self._queue)[2] if self._queue else None
-
-    def _remove_from_queue(self, request: Request) -> bool:
-        for i, entry in enumerate(self._queue):
-            if entry[2] is request:
-                # Rebuild rather than tombstone (queues here are short:
-                # per-core or per-port).
-                del self._queue[i]
-                heapq.heapify(self._queue)
-                return True
-        return False
 
 
 class Store:
@@ -286,17 +220,6 @@ class Store:
         else:
             self._items.append(item)
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put: True if accepted immediately.
-
-        Like :meth:`put_nowait` it schedules no acknowledgement; a refusal
-        returns False instead of raising.
-        """
-        if self._putters or len(self._items) >= self.capacity:
-            return False
-        self.put_nowait(item)
-        return True
-
     def get(self) -> Event:
         """Take the next item; the event fires with it as value."""
         ev = self.sim.event()
@@ -311,33 +234,12 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``.
-
-        Schedules no event for the taker; a blocked putter that the freed
-        slot admits is still woken.
-        """
-        items = self._items
-        if not items:
-            return False, None
-        item = items.popleft()
-        if self._putters:
-            self._settle()
-        return True, item
-
     def cancel_get(self, event: Event) -> None:
-        """Withdraw a pending get (e.g. after an interrupt)."""
+        """Withdraw a pending get (e.g. after a bounded wait timed out)."""
         try:
             self._getters.remove(event)
         except ValueError:
             pass
-
-    def cancel_put(self, event: Event) -> None:
-        """Withdraw a pending put."""
-        for i, (ev, _item) in enumerate(self._putters):
-            if ev is event:
-                del self._putters[i]
-                return
 
     # -- internals --------------------------------------------------------------------
 

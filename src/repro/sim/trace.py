@@ -129,15 +129,6 @@ class Tracer:
         self._subscribers.setdefault(kind, []).append(fn)
         self.enabled = True
 
-    def unsubscribe(self, kind: str, fn: Callable[[TraceRecord], None]) -> None:
-        """Remove a subscription (no-op if absent)."""
-        fns = self._subscribers.get(kind)
-        if fns and fn in fns:
-            fns.remove(fn)
-            if not fns:
-                del self._subscribers[kind]
-        self.enabled = self._recording or bool(self._subscribers)
-
     def emit(self, point: str, **fields: Any) -> None:
         """Emit a record of kind *point*; cheap when nobody is listening.
 

@@ -15,13 +15,10 @@ __all__ = [
     "KB",
     "MB",
     "usec",
-    "msec",
     "nsec",
     "to_usec",
-    "to_msec",
     "mbps_to_bytes_per_sec",
     "bytes_per_sec_to_mbps",
-    "gap_ns_per_byte",
 ]
 
 #: One microsecond in seconds.
@@ -41,11 +38,6 @@ def usec(x: float) -> float:
     return x * US
 
 
-def msec(x: float) -> float:
-    """Convert milliseconds to seconds."""
-    return x * MS
-
-
 def nsec(x: float) -> float:
     """Convert nanoseconds to seconds."""
     return x * NS
@@ -54,11 +46,6 @@ def nsec(x: float) -> float:
 def to_usec(seconds: float) -> float:
     """Convert seconds to microseconds."""
     return seconds / US
-
-
-def to_msec(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MS
 
 
 def mbps_to_bytes_per_sec(mbps: float) -> float:
@@ -70,11 +57,3 @@ def bytes_per_sec_to_mbps(bps: float) -> float:
     """Bytes/s to megabits/s (10^6 bits)."""
     return bps * 8.0 / 1e6
 
-
-def gap_ns_per_byte(peak_mbps: float) -> float:
-    """Per-byte gap (ns/byte) implied by a peak bandwidth in Mbps.
-
-    The inverse of the asymptotic bandwidth: a transport whose steady-state
-    bottleneck stage costs ``g`` ns/byte tops out at ``1/g`` bytes/ns.
-    """
-    return 1e9 / mbps_to_bytes_per_sec(peak_mbps)

@@ -56,8 +56,6 @@ class BaseSocket:
         self._rx_messages: Store = Store(self.sim)
         #: kind -> fn(kind, payload, size) for control datagrams.
         self._control_handlers: dict = {}
-        #: Bytes from a stream write not yet consumed by recv_bytes.
-        self._stream_leftover = 0
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -122,7 +120,9 @@ class BaseSocket:
                 raise ReceiveTimeout(
                     f"no message within {timeout:g}s on {self._proto} socket"
                 )
-            if not timer.triggered:
+            if not timer.processed:
+                # A Timeout is triggered from construction, so only
+                # ``processed`` says whether it already fired.
                 timer.cancel()
             msg = get_ev.value
         if msg is None:
@@ -184,42 +184,6 @@ class BaseSocket:
     def rx_pending(self) -> int:
         """Messages received and waiting to be read."""
         return self._rx_messages.size
-
-    # -- byte-stream view ----------------------------------------------------------
-    #
-    # The paper's applications were written against the byte-stream
-    # sockets API; these wrappers provide it over the message machinery.
-    # Bytes are counted, not stored: ``recv_bytes`` returns how many
-    # bytes were consumed, exactly like ``recv(2)``'s return length.
-
-    def send_bytes(self, nbytes: int) -> Generator[Event, Any, None]:
-        """``send()``/``write()``: push *nbytes* onto the stream."""
-        if nbytes <= 0:
-            raise ValueError(f"send_bytes needs a positive count, got {nbytes}")
-        yield from self.send_message(nbytes, kind="stream")
-
-    def recv_bytes(self, max_bytes: int) -> Generator[Event, Any, int]:
-        """``recv()``: up to *max_bytes* from the stream; blocks until
-        at least one byte is available.  Returns the count consumed.
-
-        Reads do not align with writes: one write may satisfy several
-        reads and vice versa, exactly like a TCP byte stream.
-        """
-        if max_bytes <= 0:
-            raise ValueError(f"recv_bytes needs a positive count, got {max_bytes}")
-        if self._stream_leftover == 0:
-            msg = yield from self.recv_message()
-            self._stream_leftover = msg.size
-        take = min(max_bytes, self._stream_leftover)
-        self._stream_leftover -= take
-        return take
-
-    def recv_exactly(self, nbytes: int) -> Generator[Event, Any, None]:
-        """``recv`` loop until exactly *nbytes* have been consumed."""
-        remaining = nbytes
-        while remaining > 0:
-            got = yield from self.recv_bytes(remaining)
-            remaining -= got
 
     def close(self) -> None:
         """Close the socket; the peer sees end-of-stream after in-flight

@@ -390,8 +390,6 @@ class SocketViaStack(StackBase):
         credits: int = DEFAULT_CREDITS,
         rdma_threshold: int = None,
         rdma_region_bytes: int = 256 * 1024,
-        retry=None,
-        connect_timeout: Optional[float] = None,
     ) -> None:
         """``rdma_threshold``: when set, messages of at least that many
         bytes travel as RDMA Writes with notify (the paper's future-work
@@ -405,8 +403,7 @@ class SocketViaStack(StackBase):
         self.credits = int(credits)
         self.rdma_threshold = rdma_threshold
         self.rdma_region_bytes = int(rdma_region_bytes)
-        super().__init__(host, switch, model, consume_port=False,
-                         retry=retry, connect_timeout=connect_timeout)
+        super().__init__(host, switch, model, consume_port=False)
         self.nic = ViaNic(host, switch, model=model, tag=f"sv.{model.name}")
         self.nic.register_frame_handler(_CreditFrame, self._on_credit_frame)
         # Control datagrams arrive as VIA frames but take the shared

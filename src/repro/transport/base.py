@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.cluster.host import Host
 from repro.cluster.link import Switch, Transmission
@@ -62,7 +62,6 @@ __all__ = [
     "ControlDatagram",
     "StackBase",
     "EndpointSocket",
-    "replicated_connect",
 ]
 
 #: Size charged for connection-management control packets (headers only).
@@ -211,8 +210,10 @@ class StackBase:
         #: Connect resilience (see repro.faults.retry): a retry policy
         #: bounds each attempt with its ``attempt_timeout`` and
         #: retransmits with backoff; ``connect_timeout`` alone bounds
-        #: the single attempt.  Both default off — the paper's fabric
-        #: is lossless, so fault-free runs never arm a timer.
+        #: the single attempt.  Only stacks that connect through
+        #: :meth:`_connect_endpoint` (TCP) read them, so SocketVIA and
+        #: UDP do not accept either.  Both default off — the paper's
+        #: fabric is lossless, so fault-free runs never arm a timer.
         self.retry = retry
         self.connect_timeout = connect_timeout
         #: Crash-blackout state of the owning host (None = fault-free;
@@ -440,7 +441,7 @@ class StackBase:
                             attempt=attempts, delay=delay)
                     yield self.sim.timeout(delay)
                     continue
-                if not timer.triggered:
+                if not timer.processed:
                     timer.cancel()
                 ok = handshake.value
             sock._handshake = None
@@ -529,79 +530,3 @@ class StackBase:
             f"eps={len(self._endpoints)}>"
         )
 
-
-# ---------------------------------------------------------------------------
-# SYN-level flow replication (RepFlow's transport-side variant)
-# ---------------------------------------------------------------------------
-
-
-def replicated_connect(
-    sim: Any,
-    socket_factory: Any,
-    address: Address,
-    k: int = 2,
-) -> Generator:
-    """Open *k* connections for one logical request; first ACK wins.
-
-    RepFlow replicates the **flow** rather than the work: every
-    handshake races the fabric independently, the first to complete is
-    kept, and the losers are torn down as their handshakes settle (a
-    connection cannot be abandoned mid-SYN — the reply is on the wire
-    — so a losing socket is closed the moment its attempt resolves).
-    Failed attempts simply drop out of the race; only when **every**
-    attempt fails does the last failure propagate.
-
-    Parameters: *socket_factory* builds one unconnected socket per
-    attempt (``lambda: api.socket(host)``); *k* is the fan-out.
-    Returns ``(socket, index)`` — the winning connected socket and
-    which attempt it was (same-timestep ties resolve by attempt index,
-    deterministically).
-    """
-    if k < 1:
-        raise ValueError(f"replicated_connect needs k >= 1, got {k}")
-    socks: List[BaseSocket] = [socket_factory() for _ in range(k)]
-    results: List[Any] = [None] * k
-
-    def _attempt(slot: int):
-        try:
-            yield from socks[slot].connect(address)
-        except NetworkError as exc:
-            results[slot] = exc
-            return
-        results[slot] = socks[slot]
-
-    procs = [
-        sim.process(_attempt(i), name=f"repconnect[{i}]") for i in range(k)
-    ]
-    remaining = list(range(k))
-    winner: Optional[int] = None
-    last_error: Optional[NetworkError] = None
-    while winner is None:
-        yield sim.any_of([procs[i] for i in remaining])
-        still = []
-        for i in remaining:
-            if not procs[i].triggered:
-                still.append(i)
-                continue
-            if winner is None and isinstance(results[i], BaseSocket):
-                winner = i
-            elif isinstance(results[i], NetworkError):
-                last_error = results[i]
-        remaining = still
-        if winner is None and not remaining:
-            assert last_error is not None
-            raise last_error
-
-    def _close_loser(slot: int) -> None:
-        r = results[slot]
-        if isinstance(r, BaseSocket) and not r.closed:
-            r.close()
-
-    for i in range(k):
-        if i == winner:
-            continue
-        if procs[i].triggered:
-            _close_loser(i)
-        else:
-            procs[i].add_callback(lambda _e, slot=i: _close_loser(slot))
-    return socks[winner], winner

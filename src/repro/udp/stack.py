@@ -176,15 +176,12 @@ class UdpStack(StackBase):
         model: ProtocolCostModel = TCP_CLAN_LANE,
         loss_rate: float = 0.0,
         reorder_window: float = 0.0,
-        retry=None,
-        connect_timeout: Optional[float] = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         if reorder_window < 0:
             raise ValueError("reorder_window must be >= 0")
-        super().__init__(host, switch, model, retry=retry,
-                         connect_timeout=connect_timeout)
+        super().__init__(host, switch, model)
         self.loss_rate = loss_rate
         self.reorder_window = reorder_window
         # Share the serialized kernel path with TCP when both exist.

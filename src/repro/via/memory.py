@@ -3,7 +3,7 @@
 VIA requires every buffer used in a descriptor to be *registered* —
 pinned and translated ahead of time so the NIC can DMA without kernel
 involvement.  The simulation enforces the discipline (posting a
-descriptor over unregistered or deregistered memory raises
+descriptor over unregistered memory raises
 :class:`~repro.errors.ViaError`) without modeling page tables: a
 :class:`MemoryHandle` stands for one registered region.
 
@@ -91,13 +91,6 @@ class MemoryRegistry:
         self._regions[handle.handle_id] = handle
         self.bytes_registered += size
         return handle
-
-    def deregister(self, handle: MemoryHandle) -> None:
-        """Release a registration; posted descriptors over it become invalid."""
-        if self._regions.pop(handle.handle_id, None) is None:
-            raise ViaError(f"deregister of unknown handle {handle}")
-        self._contents.pop(handle.handle_id, None)
-        self.bytes_registered -= handle.size
 
     def check(self, handle: MemoryHandle, length: int) -> None:
         """Validate that *length* bytes fit in a live registration here."""

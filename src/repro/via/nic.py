@@ -232,44 +232,6 @@ class ViaNic:
             )
         )
 
-    def _transmit_data_many(
-        self,
-        vi: VirtualInterface,
-        descs: "list[Descriptor]",
-        host_done: "list[float]",
-    ) -> None:
-        """Push a burst of send descriptors as one batched link enqueue
-        (one :meth:`LinkDirection.send_many` call; see its docstring for
-        the timing contract).
-
-        ``host_done[k]`` is the cumulative host-side posting cost
-        through descriptor *k*: each transmission's ``ready_at`` is set
-        so it cannot finish the wire before its data would have been
-        handed over by the sequential ``post_send`` loop — reproducing
-        the host/wire two-stage pipeline analytically.
-        """
-        model = self.model
-        now = self.sim.now
-        self.port.uplink.send_many(
-            Transmission(
-                dst=vi.peer_host,
-                service_time=model.wire_unit_service(desc.length),
-                propagation=model.l_wire,
-                payload=_DataFrame(
-                    dst_vi=vi.peer_vi,
-                    src_vi=vi.vi_id,
-                    length=desc.length,
-                    payload=desc.payload,
-                    immediate=desc.immediate,
-                ),
-                size=desc.length,
-                tag=self.tag,
-                on_delivered=lambda tx, v=vi, d=desc: v._complete_send(d),
-                ready_at=now + done + model.wire_unit_service(desc.length),
-            )
-            for desc, done in zip(descs, host_done)
-        )
-
     def _transmit_rdma_write(
         self, vi: VirtualInterface, desc: Descriptor, remote: Any, notify: bool
     ) -> None:

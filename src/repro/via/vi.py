@@ -118,52 +118,6 @@ class VirtualInterface:
         )
         self.nic._transmit_data(self, desc)
 
-    def post_send_many(
-        self, descs: "list[Descriptor]"
-    ) -> Generator[Event, Any, None]:
-        """Post a burst of send descriptors with one CPU acquisition.
-
-        Timing-identical to ``for d in descs: yield from post_send(d)``
-        when the host CPU is uncontended: the burst is handed to the
-        NIC immediately with each transfer constrained to finish no
-        earlier than (its sequential host-posting completion + its wire
-        time) — the same two-stage pipeline the per-descriptor loop
-        produces, where descriptor *k*'s wire time overlaps descriptor
-        *k+1*'s host copy — while the host charges the summed doorbell
-        + copy cost in a single ``cpu.use``.  This is how a runtime
-        that has a whole multi-descriptor message ready posts it: N
-        descriptors, one doorbell storm, O(1) kernel-event overhead
-        (see :meth:`LinkDirection.send_many`).  Under a *contended*
-        host CPU the batch holds its one reservation instead of
-        re-queuing per descriptor — an explicit opt-in trade, like the
-        contended-downlink caveat of ``send_many``.
-        """
-        descs = list(descs)
-        if not descs:
-            return
-        if self.state != VI_CONNECTED:
-            raise ViaError(f"post_send_many on unconnected VI {self.name!r}")
-        host_done = []  # cumulative host-side cost through descriptor k
-        total_cpu = 0.0
-        for desc in descs:
-            if desc.status != DESC_IDLE:
-                raise ViaError(
-                    f"cannot post descriptor in state {desc.status!r}"
-                )
-            self.nic.memory.check(desc.memory, desc.length)
-            total_cpu += self.nic.model.host_send_time(desc.length)
-            host_done.append(total_cpu)
-        for desc in descs:
-            desc.status = DESC_POSTED
-        self.sends_posted += len(descs)
-        if self.nic.tracer.enabled:
-            for desc in descs:
-                self.nic.tracer.emit(
-                    "via.doorbell", vi=self.vi_id, size=desc.length, op="send"
-                )
-        self.nic._transmit_data_many(self, descs, host_done)
-        yield from self.nic.host.cpu.use(total_cpu)
-
     # -- RDMA (paper's future-work section: push/pull transfer) -------------------------
 
     def post_rdma_write(

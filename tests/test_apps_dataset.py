@@ -12,7 +12,6 @@ from repro.apps import (
     default_block_candidates,
     mixed_query_workload,
     partial_update,
-    partial_update_latency,
     plan_block_for_latency,
     plan_block_for_rate,
     steady_rate_workload,
@@ -35,11 +34,6 @@ class TestRegion:
 
 
 class TestImageDataset:
-    def test_square_construction(self):
-        ds = ImageDataset.square(total_bytes=4096 * 4096, n_blocks=64)
-        assert ds.n_blocks == 64
-        assert ds.block_bytes * ds.n_blocks == ds.total_bytes
-
     def test_with_block_bytes_paper_sizes(self):
         for block in (2048, 16 * 1024, 64 * 1024):
             ds = ImageDataset.with_block_bytes(16 * 1024 * 1024, block)
@@ -222,11 +216,6 @@ class TestPlanning:
         b1 = plan_block_for_latency(plan, 500e-6)
         b2 = plan_block_for_latency(plan, 1000e-6)
         assert b1 is not None and b2 is not None and b2 >= b1
-
-    def test_partial_latency_monotone_in_block(self):
-        plan = PipelinePlan(model=get_model("socketvia"))
-        lats = [partial_update_latency(plan, b) for b in (1024, 8192, 65536)]
-        assert lats == sorted(lats)
 
     def test_invalid_block(self):
         plan = PipelinePlan(model=get_model("tcp"))

@@ -3,35 +3,11 @@
 import pytest
 
 from repro.bench.microbench import (
-    MicrobenchResult,
-    bandwidth_series,
-    latency_series,
     ping_pong_latency,
     streaming_bandwidth,
     via_ping_pong_latency,
     via_streaming_bandwidth,
 )
-
-
-class TestSeriesHelpers:
-    def test_latency_series_covers_protocols_and_sizes(self):
-        results = latency_series([4, 1024], protocols=("via", "socketvia", "tcp"))
-        assert len(results) == 6
-        assert {r.protocol for r in results} == {"via", "socketvia", "tcp"}
-        by_key = {(r.protocol, r.msg_size): r.value for r in results}
-        # Ordering across protocols at each size.
-        for size in (4, 1024):
-            assert by_key[("via", size)] < by_key[("socketvia", size)]
-            assert by_key[("socketvia", size)] < by_key[("tcp", size)]
-
-    def test_bandwidth_series_shapes(self):
-        results = bandwidth_series([2048], protocols=("socketvia", "tcp"))
-        by_proto = {r.protocol: r for r in results}
-        assert by_proto["socketvia"].mbps > 2 * by_proto["tcp"].mbps
-
-    def test_result_unit_properties(self):
-        r = MicrobenchResult("x", 4, 9.5e-6)
-        assert r.usec == pytest.approx(9.5)
 
 
 class TestDeterminism:

@@ -1,10 +1,9 @@
-"""Unit tests for the benchmark table records and micro-bench helpers."""
+"""Unit tests for the benchmark table records."""
 
 import os
 
 import pytest
 
-from repro.bench.microbench import MicrobenchResult
 from repro.bench.records import ExperimentTable, fmt, ratio
 
 
@@ -70,23 +69,8 @@ class TestExperimentTable:
         assert os.path.basename(path) == "figX.txt"
         assert "demo" in open(path).read()
 
-    def test_json_round_trip(self, tmp_path):
-        from repro.bench.records import ExperimentTable
-
-        t = self.make()
-        t.save(str(tmp_path))
-        loaded = ExperimentTable.load_json(str(tmp_path / "figX.json"))
-        assert loaded.to_dict() == t.to_dict()
-
     def test_to_dict_is_machine_readable(self):
         d = self.make().to_dict()
         assert d["rows"] == [[1, 2.5], [2, None]]
         assert d["columns"] == ["a", "b"]
 
-
-class TestMicrobenchResult:
-    def test_unit_conversions(self):
-        r = MicrobenchResult("tcp", 1024, 50e-6)
-        assert r.usec == pytest.approx(50.0)
-        bw = MicrobenchResult("tcp", 1024, 63.75e6)
-        assert bw.mbps == pytest.approx(510.0)

@@ -33,14 +33,6 @@ class TestDataBuffer:
         with pytest.raises(ValueError):
             DataBuffer(size=-1)
 
-    def test_with_size_derives_meta(self):
-        buf = DataBuffer(size=100, uow_id=7, meta={"chunk": 3})
-        out = buf.with_size(25, stage="subsampled")
-        assert out.size == 25
-        assert out.uow_id == 7
-        assert out.meta == {"chunk": 3, "stage": "subsampled"}
-        assert buf.meta == {"chunk": 3}  # original untouched
-
     def test_buffer_ids_unique(self):
         assert DataBuffer(size=1).buffer_id != DataBuffer(size=1).buffer_id
 
@@ -127,14 +119,6 @@ class TestFilterGroupValidation:
 
 
 class TestPlacement:
-    def test_round_robin_placement(self):
-        g = linear_group()
-        p = g.place_round_robin(["h0", "h1", "h2"])
-        hosts = [p.host_for("a", 0), p.host_for("a", 1)] + [
-            p.host_for("b", i) for i in range(3)
-        ]
-        assert hosts == ["h0", "h1", "h2", "h0", "h1"]
-
     def test_explicit_placement(self):
         g = linear_group()
         p = g.place({"a": ["x", "y"], "b": ["z", "z", "z"]})
@@ -152,13 +136,9 @@ class TestPlacement:
 
     def test_missing_assignment(self):
         g = linear_group()
-        p = g.place_round_robin(["h0"])
+        p = g.place({"a": ["h0", "h0"], "b": ["h0", "h0", "h0"]})
         with pytest.raises(PlacementError):
             p.host_for("nope", 0)
-
-    def test_empty_host_list(self):
-        with pytest.raises(PlacementError):
-            linear_group().place_round_robin([])
 
 
 class TestSchedulers:

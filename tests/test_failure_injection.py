@@ -2,11 +2,10 @@
 
 A production runtime spends most of its subtlety on the unhappy paths;
 these tests pin them down: receivers vanishing mid-stream, listeners
-closing with connects queued, filters crashing mid-UOW, interrupts
-landing in blocking calls, and — via ``repro.faults`` — lossy links
-exhausting retry budgets, flapping links exercising the idempotent
-re-handshake, and host crashes rerouted around by demand-driven
-scheduling.
+closing with connects queued, filters crashing mid-UOW, and — via
+``repro.faults`` — lossy links exhausting retry budgets, flapping links
+exercising the idempotent re-handshake, and host crashes rerouted
+around by demand-driven scheduling.
 """
 
 import pytest
@@ -21,7 +20,6 @@ from repro.errors import (
     SocketClosedError,
 )
 from repro.faults import FaultPlan, HostFault, LinkFault, RetryPolicy, injecting
-from repro.sim import Interrupt
 from repro.sockets import ProtocolAPI
 
 
@@ -147,50 +145,6 @@ class TestFilterCrash:
 
         p = cluster.sim.process(main())
         assert cluster.sim.run(p) == "copy 1 died"
-
-
-class TestInterrupts:
-    def test_interrupt_while_blocked_on_recv(self, cluster):
-        api = ProtocolAPI(cluster, "tcp")
-        sim = cluster.sim
-        api.listen("node01", 80)
-
-        def client():
-            sock = api.socket("node00")
-            yield from sock.connect(("node01", 80))
-            try:
-                yield from sock.recv_message()
-            except Interrupt as i:
-                return ("interrupted", i.cause)
-
-        p = sim.process(client())
-
-        def killer():
-            yield sim.timeout(0.01)
-            p.interrupt("shutdown")
-
-        sim.process(killer())
-        assert sim.run(p) == ("interrupted", "shutdown")
-
-    def test_interrupt_while_blocked_on_accept(self, cluster):
-        api = ProtocolAPI(cluster, "tcp")
-        sim = cluster.sim
-        listener = api.listen("node01", 80)
-
-        def acceptor():
-            try:
-                yield from listener.accept()
-            except Interrupt:
-                return "stopped"
-
-        p = sim.process(acceptor())
-
-        def killer():
-            yield sim.timeout(0.01)
-            p.interrupt()
-
-        sim.process(killer())
-        assert sim.run(p) == "stopped"
 
 
 class TestExtremeInputs:
@@ -340,6 +294,77 @@ class TestConnectRetry:
         # Both buffered requests were delivered, but the duplicate only
         # repeated the reply: exactly one server-side endpoint exists.
         assert len(api.stack("node01")._accepted) == 1
+
+
+def _two_hosts():
+    c = Cluster(seed=1)
+    c.add_fabric("clan")
+    c.add_hosts("node", 2)
+    return c
+
+
+class TestBoundedWaitsCancelTheirTimer:
+    """A bounded wait that is satisfied in time withdraws its timer, so
+    the dead deadline neither fires nor stretches ``sim.run()``."""
+
+    @pytest.mark.parametrize("protocol", ["tcp", "socketvia"])
+    def test_satisfied_bounded_receive_leaves_no_timer(self, protocol):
+        cluster = _two_hosts()
+        sim = cluster.sim
+        api = ProtocolAPI(cluster, protocol)
+
+        def server():
+            listener = api.listen("node01", 80)
+            sock = yield from listener.accept()
+            msg = yield from sock.recv_message(timeout=10.0)
+            return msg.size
+
+        def client():
+            sock = api.socket("node00")
+            yield from sock.connect(("node01", 80))
+            yield from sock.send_message(64)
+
+        srv = sim.process(server())
+        sim.process(client())
+        sim.run()
+        assert srv.value == 64
+        assert sim.peek() == float("inf")
+        assert sim.now < 1e-3
+
+    def test_tcp_connect_within_timeout_leaves_no_timer(self):
+        cluster = _two_hosts()
+        sim = cluster.sim
+        api = ProtocolAPI(cluster, "tcp", connect_timeout=1.0)
+        api.listen("node01", 80)
+
+        def client():
+            sock = api.socket("node00")
+            yield from sock.connect(("node01", 80))
+            return sock.connected
+
+        cli = sim.process(client())
+        sim.run()
+        assert cli.value is True
+        assert sim.peek() == float("inf")
+        assert sim.now < 1e-3
+
+
+class TestConnectOptionsAreTcpOnly:
+    """Only TCP connects through the retrying handshake, so only TCP
+    accepts ``retry=`` and ``connect_timeout=``; the other stacks
+    reject them when they are built instead of ignoring them."""
+
+    @pytest.mark.parametrize("protocol, option", [
+        ("socketvia", {"connect_timeout": 1e-9}),
+        ("socketvia", {"retry": RetryPolicy()}),
+        ("udp", {"retry": RetryPolicy()}),
+        ("udp", {"connect_timeout": 1e-9}),
+    ])
+    def test_non_tcp_stack_rejects_connect_options(self, protocol, option):
+        api = ProtocolAPI(_two_hosts(), protocol, **option)
+        (name,) = option
+        with pytest.raises(TypeError, match=name):
+            api.socket("node00")
 
 
 class TestHostCrashRescheduling:

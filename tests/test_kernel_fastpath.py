@@ -1,4 +1,4 @@
-"""The allocation-light kernel fast path and transport batching.
+"""The allocation-light kernel fast path and the link's FIFO timing.
 
 Covers the behaviors the `kernel` bench suite relies on:
 
@@ -7,13 +7,10 @@ Covers the behaviors the `kernel` bench suite relies on:
 * heap compaction — sweeping tombstones preserves the ``(time,
   priority, seq)`` firing order of every survivor;
 * NaN / negative-delay rejection at every scheduling entry point;
-* ``schedule_many`` — batch scheduling is observationally identical to
-  a loop of ``schedule`` calls;
-* timeout pooling and the cancelled-timeout graveyard — reuse happens
-  only when the kernel provably holds the last reference;
-* transport batching — ``LinkDirection.send_many`` and
-  ``VirtualInterface.post_send_many`` are timing-identical to their
-  one-at-a-time equivalents (and match the flow-shop analytic model);
+* timeout pooling — reuse happens only when the kernel provably holds
+  the last reference;
+* ``LinkDirection.send`` — back-to-back transmissions complete on the
+  ``ready_at`` recurrence and match the flow-shop analytic model;
 * the figure tables stay bit-identical to the committed baselines.
 """
 
@@ -29,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.link import LinkDirection, Transmission
 from repro.errors import EventLifecycleError, StopSimulation
-from repro.sim import Event, Process, Simulator
+from repro.sim import Process, Simulator
 
 HAS_GETREFCOUNT = hasattr(sys, "getrefcount")
 
@@ -127,10 +124,6 @@ def test_nan_delay_rejected_everywhere():
     ev._ok = True
     with pytest.raises(EventLifecycleError):
         sim.schedule(ev, nan)
-    ev2 = sim.event()
-    ev2._ok = True
-    with pytest.raises(EventLifecycleError):
-        sim.schedule_many([(ev2, nan)])
     # Pooled-path validation: recycle a timeout, then ask for NaN.
     sim.timeout(0.0)
     sim.run_all()
@@ -146,58 +139,10 @@ def test_negative_delay_rejected_everywhere():
     ev._ok = True
     with pytest.raises(EventLifecycleError):
         sim.schedule(ev, -1.0)
-    ev2 = sim.event()
-    ev2._ok = True
-    with pytest.raises(EventLifecycleError):
-        sim.schedule_many([(ev2, -1.0)])
-
-
-def test_schedule_many_partial_failure_keeps_prior_pairs():
-    sim = Simulator()
-    fired = []
-    good = sim.event()
-    good._ok = True
-    good._value = "ok"
-    good.add_callback(lambda ev: fired.append(ev.value))
-    bad = sim.event()
-    bad._ok = True
-    with pytest.raises(EventLifecycleError):
-        sim.schedule_many([(good, 1.0), (bad, math.nan)])
-    sim.run_all()
-    assert fired == ["ok"]
 
 
 # ---------------------------------------------------------------------------
-# schedule_many equivalence
-# ---------------------------------------------------------------------------
-
-
-def _burst_run(batched: bool):
-    sim = Simulator()
-    fired = []
-    pairs = []
-    rng = random.Random(11)
-    for i in range(500):
-        ev = Event(sim)
-        ev._ok = True
-        ev._value = i
-        ev.add_callback(lambda e: fired.append((sim.now, e.value)))
-        pairs.append((ev, rng.uniform(0.0, 9.0)))
-    if batched:
-        assert sim.schedule_many(pairs) == len(pairs)
-    else:
-        for ev, delay in pairs:
-            sim.schedule(ev, delay)
-    sim.run_all()
-    return fired
-
-
-def test_schedule_many_matches_schedule_loop():
-    assert _burst_run(batched=True) == _burst_run(batched=False)
-
-
-# ---------------------------------------------------------------------------
-# Timeout pooling and the cancelled-timeout graveyard
+# Timeout pooling
 # ---------------------------------------------------------------------------
 
 
@@ -214,27 +159,6 @@ def test_processed_timeout_is_recycled():
     # match proves reuse (no address-recycling ambiguity).
     assert id(t2) == addr
     assert sim.run(t2) == "again"
-
-
-@pytest.mark.skipif(not HAS_GETREFCOUNT,
-                    reason="graveyard reuse needs sys.getrefcount")
-def test_cancelled_timeout_reused_only_when_unreferenced():
-    sim = Simulator()
-    held = sim.timeout(10.0, "held")
-    held.cancel()
-    # Still referenced by `held`: the graveyard probe must refuse it.
-    other = sim.timeout(1.0, "fresh")
-    assert other is not held
-    addr = id(held)
-    del held
-    reused = sim.timeout(2.0, "reused")
-    assert id(reused) == addr
-    fired = []
-    reused.add_callback(lambda ev: fired.append((sim.now, ev.value)))
-    sim.run_all()
-    # The reused timer fires once, at its new time, with its new value —
-    # and the cancelled generation never fires.
-    assert fired == [(2.0, "reused")]
 
 
 def test_cancel_twice_is_idempotent_and_processed_cancel_raises():
@@ -270,106 +194,21 @@ def test_heap_peak_and_events_processed_counters():
 
 
 # ---------------------------------------------------------------------------
-# Transport batching: send_many / post_send_many
+# LinkDirection.send: FIFO completion times
 # ---------------------------------------------------------------------------
 
 
-def _link_deliveries(batched: bool, services, queued_extra=None):
+def _link_deliveries(units):
+    """Send every ``(service_time, ready_at)`` unit at time 0, one
+    ``LinkDirection.send`` each; return ``(deliveries, link)`` with
+    deliveries as ``(time, payload)`` in delivery order."""
     sim = Simulator()
     deliveries = []
     link = LinkDirection(sim, deliver=lambda tx: deliveries.append(
         (sim.now, tx.payload)))
-    txs = [Transmission(dst="peer", service_time=s, payload=i)
-           for i, s in enumerate(services)]
-    if batched:
-        link.send_many(txs)
-    else:
-        for tx in txs:
-            link.send(tx)
-    if queued_extra is not None:
-        # Arrives while the wire is busy: must queue behind the batch.
-        link.send(Transmission(dst="peer", service_time=queued_extra,
-                               payload="late"))
-    sim.run_all()
-    return deliveries, link
-
-
-def test_send_many_matches_sequential_send():
-    services = [0.5, 1.25, 0.25, 2.0, 0.125]
-    got_b, link_b = _link_deliveries(True, services, queued_extra=0.75)
-    got_s, link_s = _link_deliveries(False, services, queued_extra=0.75)
-    assert got_b == got_s
-    assert not link_b._busy and not link_s._busy
-    assert link_b.busy_time == pytest.approx(link_s.busy_time)
-    assert link_b.tx_count == link_s.tx_count == len(services) + 1
-
-
-def test_send_many_matches_flow_shop_column():
-    np = pytest.importorskip("numpy")
-    from repro.net.segsim import flow_shop_completion_times
-
-    services = [0.3, 0.7, 0.2, 1.1, 0.5, 0.4]
-    deliveries, _ = _link_deliveries(True, services)
-    expected = flow_shop_completion_times([[s] for s in services])[:, 0]
-    assert np.allclose([t for t, _ in deliveries], expected)
-
-
-def _via_stream_end(batched: bool, n: int = 24, size: int = 1024) -> float:
-    from repro.bench.microbench import _two_nodes, _via_pair
-    from repro.via.descriptors import Descriptor
-
-    cluster = _two_nodes()
-    sim = cluster.sim
-    nic0, nic1 = _via_pair(cluster)
-
-    def server():
-        listener = nic1.listen(9)
-        vi = yield from listener.wait_connection()
-        for _ in range(n):
-            vi.post_recv(Descriptor(memory=nic1.memory.register_now(size)))
-        for _ in range(n):
-            yield from vi.reap_recv()
-
-    def client():
-        vi = nic0.make_vi()
-        yield from nic0.connect(vi, "node01", 9)
-        mems = [nic0.memory.register_now(size) for _ in range(n)]
-        descs = [Descriptor(memory=m, length=size) for m in mems]
-        if batched:
-            yield from vi.post_send_many(descs)
-        else:
-            for d in descs:
-                yield from d_post(vi, d)
-        assert vi.sends_posted == n
-
-    def d_post(vi, d):
-        yield from vi.post_send(d)
-
-    srv = sim.process(server())
-    sim.process(client())
-    sim.run(srv)
-    return sim.now
-
-
-def test_post_send_many_timing_matches_sequential_posts():
-    assert _via_stream_end(True) == pytest.approx(_via_stream_end(False))
-
-
-def _link_deliveries_with_ready(batched: bool, units):
-    """Like :func:`_link_deliveries` but each unit is ``(service_time,
-    ready_at)`` — exercising the analytic-hold stretch where data is
-    still trickling in when the wire would otherwise start."""
-    sim = Simulator()
-    deliveries = []
-    link = LinkDirection(sim, deliver=lambda tx: deliveries.append(
-        (sim.now, tx.payload)))
-    txs = [Transmission(dst="peer", service_time=s, payload=i, ready_at=r)
-           for i, (s, r) in enumerate(units)]
-    if batched:
-        link.send_many(txs)
-    else:
-        for tx in txs:
-            link.send(tx)
+    for i, (s, r) in enumerate(units):
+        link.send(Transmission(dst="peer", service_time=s, payload=i,
+                               ready_at=r))
     sim.run_all()
     return deliveries, link
 
@@ -383,18 +222,25 @@ def _link_deliveries_with_ready(batched: bool, units):
     ),
     min_size=1, max_size=16))
 @settings(max_examples=100, deadline=None)
-def test_send_many_property_matches_sequential(units):
+def test_send_property_matches_ready_at_recurrence(units):
     """For any mix of service times (zeros included) and ready_at
-    stretches, the batched schedule is observationally identical to the
-    per-completion callback chain: same delivery times, same payload
-    order, same link accounting, and the wire ends idle."""
-    got_b, link_b = _link_deliveries_with_ready(True, units)
-    got_s, link_s = _link_deliveries_with_ready(False, units)
-    assert got_b == got_s
-    assert [p for _, p in got_b] == list(range(len(units)))
-    assert not link_b._busy and not link_s._busy
-    assert link_b.busy_time == pytest.approx(link_s.busy_time)
-    assert link_b.tx_count == link_s.tx_count == len(units)
+    stretches, transmission *k* completes at c_k = max(c_{k-1} + s_k,
+    r_k) with c_0 = 0: the wire serves FIFO, and a unit whose data is
+    still arriving holds the wire until its ``ready_at``.  Payloads
+    arrive in send order, the link charges only service time, and the
+    wire ends idle."""
+    got, link = _link_deliveries(units)
+    expected = []
+    c = 0.0
+    for s, r in units:
+        c = max(c + s, r)
+        expected.append(c)
+    assert [t for t, _ in got] == pytest.approx(expected, rel=1e-12,
+                                                abs=1e-12)
+    assert [p for _, p in got] == list(range(len(units)))
+    assert not link._busy
+    assert link.busy_time == pytest.approx(sum(s for s, _ in units))
+    assert link.tx_count == len(units)
 
 
 @given(services=st.lists(
@@ -402,13 +248,13 @@ def test_send_many_property_matches_sequential(units):
               allow_nan=False, allow_infinity=False),
     min_size=1, max_size=16))
 @settings(max_examples=100, deadline=None)
-def test_send_many_property_matches_flow_shop(services):
-    """Without ready_at stretches the burst is a single-machine flow
+def test_send_property_matches_flow_shop(services):
+    """Without ready_at stretches a burst is a single-machine flow
     shop: delivery times must equal segsim's first completion column."""
     pytest.importorskip("numpy")
     from repro.net.segsim import flow_shop_completion_times
 
-    deliveries, _ = _link_deliveries(True, services)
+    deliveries, _ = _link_deliveries([(s, 0.0) for s in services])
     expected = flow_shop_completion_times([[s] for s in services])[:, 0]
     assert [t for t, _ in deliveries] == pytest.approx(list(expected))
 
@@ -459,20 +305,17 @@ def test_fig04_quick_cells_bit_identical_to_baseline():
 
 
 def test_kernel_suite_deterministic_columns_match_baseline():
-    from repro.bench.microbench import (
-        kernel_schedule_burst,
-        kernel_timer_cancel,
-        kernel_timer_wheel,
-    )
+    from repro.bench.microbench import kernel_timer_cancel, kernel_timer_wheel
 
     tables = _baseline_tables("kernel")["kernel"]
     cols = tables["columns"]
     committed = {row[0]: dict(zip(cols, row)) for row in tables["rows"]}
-    for point in (kernel_timer_wheel(), kernel_timer_cancel(),
-                  kernel_schedule_burst()):
+    for point in (kernel_timer_wheel(), kernel_timer_cancel()):
         row = committed[point.workload]
         assert point.events == row["events"] == row["expected_events"]
         assert point.heap_peak == row["heap_peak"]
+        assert point.pool_hits == row["pool_hits"]
+        assert point.compactions == row["compactions"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,5 @@
 """Unit tests for the protocol cost models and calibration."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.net import (
@@ -12,7 +8,6 @@ from repro.net import (
     TCP_CLAN_LANE,
     VIA_CLAN,
     ProtocolCostModel,
-    fit_cost_model,
     get_model,
 )
 from repro.net.message import Message
@@ -130,43 +125,6 @@ class TestLatencyViews:
         assert m.streaming_message_time(s) == max(
             m.sender_time(s), m.wire_time(s), m.receiver_time(s)
         )
-
-
-class TestFitting:
-    def test_fit_recovers_known_parameters(self):
-        truth = TCP_CLAN_LANE
-        sizes_lat = [4, 64, 1024, 4096]
-        sizes_bw = [2048, 16384, 65536]
-        lat_pts = [(s, truth.message_latency(s)) for s in sizes_lat]
-        bw_pts = [(s, truth.streaming_bandwidth(s)) for s in sizes_bw]
-        # Perturb the starting point, then fit back.
-        start = truth.with_updates(
-            o_send_msg=truth.o_send_msg * 3, g_wire=truth.g_wire * 0.5
-        )
-        fitted = fit_cost_model(start, lat_pts, bw_pts)
-        for s, lat in lat_pts:
-            assert fitted.message_latency(s) == pytest.approx(lat, rel=0.05)
-        for s, bw in bw_pts:
-            assert fitted.streaming_bandwidth(s) == pytest.approx(bw, rel=0.05)
-
-    def test_simulation_import_path_leaves_scipy_unloaded(self):
-        """scipy is imported lazily by fit_cost_model only, and networkx
-        not at all: a fresh interpreter importing the scenario modules
-        loads neither."""
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
-        probe = (
-            "import sys\n"
-            "import repro.apps.serve, repro.apps.tails, repro.sockets\n"
-            "import repro.datacutter\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('scipy', 'networkx')))\n"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
 
 
 class TestModelUtilities:

@@ -1,23 +1,20 @@
 """Replicated dispatch (docs/TAILS.md): ReplicationPolicy, acquire_k,
-reservation cancellation, the ReplicaSet first-finisher contract,
-replicated_connect, and the end-to-end tails scenario."""
+reservation cancellation, the ReplicaSet first-finisher contract, and
+the end-to-end tails scenario."""
 
 import random
 
 import pytest
 
 from repro.apps.tails import DEFAULT_HEDGE_US, TailsConfig, run_tails
-from repro.cluster.topology import Cluster
 from repro.datacutter.runtime import ReplicaSet, UnitOfWork
 from repro.datacutter.scheduling import (
     DemandDrivenScheduler,
     ReplicationPolicy,
     make_scheduler,
 )
-from repro.errors import ConnectionRefused, DataCutterError
+from repro.errors import DataCutterError
 from repro.sim import Simulator
-from repro.sockets.factory import ProtocolAPI
-from repro.transport.base import replicated_connect
 
 
 @pytest.fixture
@@ -383,64 +380,6 @@ class TestReplicaSet:
             s.run()
             winners.append(rs.winner)
         assert winners == [0] * 5
-
-
-# ---------------------------------------------------------------------------
-# replicated_connect: flow-level replication
-# ---------------------------------------------------------------------------
-
-
-class TestReplicatedConnect:
-    def _cluster(self):
-        c = Cluster(seed=11)
-        c.add_fabric("clan")
-        c.add_hosts("node", 3)
-        return c
-
-    def test_first_ack_wins_and_losers_close(self):
-        c = self._cluster()
-        api = ProtocolAPI(c, "tcp")
-        sim = c.sim
-
-        def server():
-            listener = api.listen("node01", 80)
-            while True:
-                yield from listener.accept()
-
-        def client():
-            sock, idx = yield from replicated_connect(
-                sim, lambda: api.socket("node00"), ("node01", 80), k=3
-            )
-            return sock, idx
-
-        sim.process(server())
-        proc = sim.process(client())
-        sock, idx = sim.run(proc)
-        # Identical paths tie on time; attempt order breaks the tie.
-        assert idx == 0
-        assert not sock.closed
-        sim.run()  # let losing handshakes settle and close
-
-    def test_all_attempts_fail_raises_last_error(self):
-        c = self._cluster()
-        api = ProtocolAPI(c, "tcp")
-        sim = c.sim
-        listener = api.listen("node01", 80)
-        listener.close()
-
-        def client():
-            yield from replicated_connect(
-                sim, lambda: api.socket("node00"), ("node01", 80), k=2
-            )
-
-        proc = sim.process(client())
-        with pytest.raises(ConnectionRefused):
-            sim.run(proc)
-
-    def test_k_validated(self):
-        c = self._cluster()
-        with pytest.raises(ValueError, match="k >= 1"):
-            next(replicated_connect(c.sim, lambda: None, ("node01", 80), k=0))
 
 
 # ---------------------------------------------------------------------------

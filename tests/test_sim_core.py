@@ -189,25 +189,6 @@ class TestStep:
         assert steps == stepped.events_processed == ran.events_processed
 
 
-class TestTraceHooks:
-    def test_hook_sees_every_event(self, sim):
-        seen = []
-        sim.add_trace_hook(lambda t, e: seen.append(t))
-        sim.timeout(1)
-        sim.timeout(2)
-        sim.run()
-        assert seen == [1, 2]
-
-    def test_remove_hook(self, sim):
-        seen = []
-        hook = lambda t, e: seen.append(t)  # noqa: E731
-        sim.add_trace_hook(hook)
-        sim.remove_trace_hook(hook)
-        sim.timeout(1)
-        sim.run()
-        assert seen == []
-
-
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         def build_and_run():

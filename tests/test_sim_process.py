@@ -1,9 +1,9 @@
-"""Unit tests for generator processes and interrupts (repro.sim.process)."""
+"""Unit tests for generator processes (repro.sim.process)."""
 
 import pytest
 
 from repro.errors import ProcessError
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -152,93 +152,3 @@ class TestFailurePropagation:
         p = sim.process(parent(sim))
         assert sim.run(p) == "handled"
 
-
-class TestInterrupts:
-    def test_interrupt_wakes_process_with_cause(self, sim):
-        log = []
-
-        def proc(sim):
-            try:
-                yield sim.timeout(100)
-            except Interrupt as i:
-                log.append((sim.now, i.cause))
-
-        p = sim.process(proc(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(3)
-            p.interrupt("preempted")
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert log == [(3.0, "preempted")]
-
-    def test_interrupted_process_can_keep_waiting(self, sim):
-        log = []
-
-        def proc(sim):
-            wait = sim.timeout(10, "slow-result")
-            while True:
-                try:
-                    v = yield wait
-                    log.append((sim.now, v))
-                    return
-                except Interrupt:
-                    log.append((sim.now, "interrupted"))
-
-        p = sim.process(proc(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(2)
-            p.interrupt()
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert log == [(2.0, "interrupted"), (10.0, "slow-result")]
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def proc(sim):
-            yield sim.timeout(1)
-
-        p = sim.process(proc(sim))
-        sim.run()
-        with pytest.raises(ProcessError):
-            p.interrupt()
-
-    def test_uncaught_interrupt_fails_process(self, sim):
-        def proc(sim):
-            yield sim.timeout(100)
-
-        p = sim.process(proc(sim))
-        p.defused = True
-
-        def interrupter(sim):
-            yield sim.timeout(1)
-            p.interrupt("no handler")
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert isinstance(p.exception, Interrupt)
-        assert p.exception.cause == "no handler"
-
-    def test_double_interrupt_same_instant(self, sim):
-        causes = []
-
-        def proc(sim):
-            for _ in range(2):
-                try:
-                    yield sim.timeout(100)
-                except Interrupt as i:
-                    causes.append(i.cause)
-            yield sim.timeout(1)
-
-        p = sim.process(proc(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1)
-            p.interrupt("first")
-            p.interrupt("second")
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert causes == ["first", "second"]

@@ -2,10 +2,10 @@
 
 The contract under test: the simulator fires the pending set in exactly
 ``(time, priority, seq)`` order, through any interleaving of
-``schedule`` / ``schedule_many`` / ``cancel`` / ``run(until=)`` /
-``step()`` with tied timestamps and priorities, lazy tombstones, and
-compaction sweeps.  The oracle is a plain list re-sorted before every
-pop — no heap — so a heap-order bug cannot hide in both sides.
+``schedule`` / ``cancel`` / ``run(until=)`` / ``step()`` with tied
+timestamps and priorities, lazy tombstones, and compaction sweeps.  The
+oracle is a plain list re-sorted before every pop — no heap — so a
+heap-order bug cannot hide in both sides.
 """
 
 import pytest
@@ -21,7 +21,7 @@ grid_times = st.integers(min_value=0, max_value=16).map(lambda i: i * 0.25)
 priorities = st.integers(min_value=0, max_value=1)
 
 # One operation in the interleaving strategy:
-#   ("schedule", delay, priority) | ("burst", priority, [delay, ...])
+#   ("schedule", delay, priority)
 #   | ("cancel", index) — cancels the index-th still-live event
 #   | ("run", delay) — run(until=now + delay)
 #   | ("step",) — process exactly one event
@@ -29,8 +29,6 @@ priorities = st.integers(min_value=0, max_value=1)
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), grid_times, priorities),
-        st.tuples(st.just("burst"), priorities,
-                  st.lists(grid_times, min_size=1, max_size=5)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("run"), grid_times),
         st.tuples(st.just("step")),
@@ -99,11 +97,6 @@ def _replay(ops):
         kind = op[0]
         if kind == "schedule":
             sim.schedule(enqueue(op[1], op[2]), delay=op[1], priority=op[2])
-        elif kind == "burst":
-            prio = op[1]
-            sim.schedule_many(
-                [(enqueue(delay, prio), delay) for delay in op[2]],
-                priority=prio)
         elif kind == "cancel":
             if live:
                 tag = sorted(live)[op[1] % len(live)]
@@ -155,13 +148,14 @@ class TestBackendEquivalence:
 class TestHeapOrderOracle:
     def test_ties_break_by_priority_then_seq(self):
         ops = [("schedule", 1.0, 1), ("schedule", 1.0, 0),
-               ("burst", 1, [1.0, 0.5]), ("schedule", 1.0, 0)]
+               ("schedule", 1.0, 1), ("schedule", 0.5, 1),
+               ("schedule", 1.0, 0)]
         _sim, log, _oracle = _replay(ops)
         # tags: 0 (1.0,p1) 1 (1.0,p0) 2 (1.0,p1) 3 (0.5,p1) 4 (1.0,p0)
         assert [tag for _t, tag in log] == [3, 1, 4, 0, 2]
 
     def test_cancel_storm_compacts_and_keeps_order(self):
-        ops = [("burst", 1, [float(i % 5) for i in range(40)])]
+        ops = [("schedule", float(i % 5), 1) for i in range(40)]
         ops += [("cancel", 0)] * 30
         sim, log, oracle = _replay(ops)
         assert sim.compactions >= 1

@@ -1,18 +1,11 @@
-"""Unit tests for Resource / PriorityResource / Store / Container."""
+"""Unit tests for Resource / Store / Container."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import (
-    Container,
-    Interrupt,
-    PriorityResource,
-    Resource,
-    Simulator,
-    Store,
-)
+from repro.sim import Container, Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -75,110 +68,9 @@ class TestResource:
         sim.run()
         assert done == [("a", 2.0), ("b", 5.0)]
 
-    def test_cancel_queued_request(self, sim):
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        r2.cancel()
-        assert res.queue_length == 0
-        res.release(r1)
-        assert not r2.triggered
-        sim.run()
-
-    def test_cancel_granted_request_releases(self, sim):
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        r1.cancel()
-        assert r2.triggered
-        sim.run()
-
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
-
-    def test_interrupted_waiter_cancels_cleanly(self, sim):
-        res = Resource(sim, capacity=1)
-        holder = res.request()
-        got_through = []
-
-        def waiter(sim, res):
-            req = res.request()
-            try:
-                yield req
-                got_through.append(True)
-            except Interrupt:
-                req.cancel()
-
-        p = sim.process(waiter(sim, res))
-
-        def interrupter(sim):
-            yield sim.timeout(1)
-            p.interrupt()
-            yield sim.timeout(1)
-            res.release(holder)
-
-        sim.process(interrupter(sim))
-        sim.run()
-        assert got_through == []
-        assert res.count == 0
-
-
-class TestPriorityResource:
-    def test_low_priority_number_served_first(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        holder = res.request()
-        order = []
-
-        def waiter(sim, res, name, prio):
-            req = res.request(priority=prio)
-            yield req
-            order.append(name)
-            res.release(req)
-
-        sim.process(waiter(sim, res, "low-urgency", 5))
-        sim.process(waiter(sim, res, "high-urgency", 0))
-
-        def releaser(sim):
-            yield sim.timeout(1)
-            res.release(holder)
-
-        sim.process(releaser(sim))
-        sim.run()
-        assert order == ["high-urgency", "low-urgency"]
-
-    def test_equal_priority_is_fifo(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        holder = res.request()
-        order = []
-
-        def waiter(sim, res, name):
-            req = res.request(priority=1)
-            yield req
-            order.append(name)
-            res.release(req)
-
-        for i in range(4):
-            sim.process(waiter(sim, res, i))
-
-        def releaser(sim):
-            yield sim.timeout(1)
-            res.release(holder)
-
-        sim.process(releaser(sim))
-        sim.run()
-        assert order == [0, 1, 2, 3]
-
-    def test_cancel_from_priority_queue(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        holder = res.request()
-        r2 = res.request(priority=1)
-        r3 = res.request(priority=2)
-        r2.cancel()
-        assert res.queue_length == 1
-        res.release(holder)
-        assert r3.triggered
-        sim.run()
 
 
 class TestStore:
@@ -232,16 +124,6 @@ class TestStore:
         assert p3.triggered  # freed slot goes to the queued putter
         sim.run()
 
-    def test_try_put_try_get(self, sim):
-        store = Store(sim, capacity=1)
-        assert store.try_put("a") is True
-        assert store.try_put("b") is False
-        ok, v = store.try_get()
-        assert ok and v == "a"
-        ok, v = store.try_get()
-        assert not ok and v is None
-        sim.run()
-
     def test_peek(self, sim):
         store = Store(sim)
         store.put("first")
@@ -261,17 +143,6 @@ class TestStore:
         store.put("x")
         assert not g.triggered
         assert store.size == 1
-        sim.run()
-
-    def test_cancel_put(self, sim):
-        store = Store(sim, capacity=1)
-        store.put("a")
-        p = store.put("b")
-        store.cancel_put(p)
-        g1 = store.get()
-        g2 = store.get()
-        assert g1.triggered
-        assert not g2.triggered
         sim.run()
 
     def test_multiple_blocked_getters_fifo(self, sim):
@@ -298,12 +169,11 @@ class TestStore:
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
 
-    def test_put_nowait_try_put_try_get_schedule_nothing(self, sim):
+    def test_put_nowait_schedules_nothing(self, sim):
         store = Store(sim, capacity=3)
         store.put_nowait("a")
-        assert store.try_put("b") is True
-        assert store.try_get() == (True, "a")
-        assert store.size == 1
+        store.put_nowait("b")
+        assert store.size == 2 and store.peek() == "a"
         assert sim.peek() == float("inf")
         sim.run()
         assert sim.events_processed == 0
@@ -322,19 +192,20 @@ class TestStore:
         store.put_nowait("a")
         with pytest.raises(SimulationError, match="ring"):
             store.put_nowait("b")
-        assert store.try_put("b") is False
         assert store.size == 1
 
-    def test_try_get_admits_blocked_putter(self, sim):
+    def test_put_nowait_behind_queued_putter_raises(self, sim):
         store = Store(sim, capacity=1, name="ring")
         store.put("a")
         blocked = store.put("b")
         with pytest.raises(SimulationError, match="1 putter"):
             store.put_nowait("c")
-        assert store.try_get() == (True, "a")
-        assert blocked.triggered and store.peek() == "b"
+        got = store.get()
+        assert got.triggered and blocked.triggered and store.peek() == "b"
         sim.run()
-        assert sim.events_processed == 2  # the two put acknowledgements
+        assert got.value == "a"
+        # The two put acknowledgements and the getter's hand-over.
+        assert sim.events_processed == 3
 
 
 class TestContainer:

@@ -35,15 +35,6 @@ class TestTracer:
         tracer.emit("b")
         assert len(seen) == 2
 
-    def test_unsubscribe(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe("a", seen.append)
-        tracer.unsubscribe("a", seen.append)
-        tracer.emit("a")
-        assert seen == []
-        tracer.unsubscribe("a", seen.append)  # no-op
-
     def test_of_kind_prefix_matching(self):
         tracer = Tracer()
         tracer.recording = True

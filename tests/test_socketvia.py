@@ -159,15 +159,18 @@ class TestDataTransfer:
                 yield from sock.send_message(8192)
 
         sim = cluster.sim
+        done = sim.all_of([sim.process(server()), sim.process(client())])
         levels = []
-        sim.add_trace_hook(
-            lambda t, e: levels.append(sock_ref["c"]._credits.level)
-            if "c" in sock_ref and sock_ref["c"].vi is not None
-            else None
-        )
-        run_pair(cluster, server(), client())
+        # Sample the sender's credit level after every processed event.
+        while not done.processed:
+            sim.step()
+            sock = sock_ref.get("c")
+            if sock is not None and sock.vi is not None:
+                levels.append(sock._credits.level)
         assert min(levels) >= 0
         assert max(levels) <= credits
+        # The window was actually exercised, not merely observed idle.
+        assert min(levels) < credits
 
     def test_bidirectional_traffic(self, cluster, api):
         def server():

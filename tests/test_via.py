@@ -75,26 +75,12 @@ class TestMemoryRegistry:
         with pytest.raises(ViaError):
             reg.check(h, 101)
 
-    def test_check_rejects_deregistered(self, cluster):
-        reg = MemoryRegistry(cluster.sim)
-        h = reg.register_now(100)
-        reg.deregister(h)
-        with pytest.raises(ViaError):
-            reg.check(h, 50)
-
     def test_check_rejects_foreign_registry(self, cluster):
         reg_a = MemoryRegistry(cluster.sim)
         reg_b = MemoryRegistry(cluster.sim)
         h = reg_a.register_now(100)
         with pytest.raises(ViaError):
             reg_b.check(h, 50)
-
-    def test_double_deregister_raises(self, cluster):
-        reg = MemoryRegistry(cluster.sim)
-        h = reg.register_now(100)
-        reg.deregister(h)
-        with pytest.raises(ViaError):
-            reg.deregister(h)
 
     def test_invalid_sizes(self, cluster):
         reg = MemoryRegistry(cluster.sim)

@@ -123,19 +123,20 @@ class TestRdmaWrite:
         with pytest.raises(ViaError):
             sim.run()
 
-    def test_write_to_deregistered_region_raises(self, cluster, pair):
+    def test_write_to_region_not_registered_at_target_raises(self, cluster, pair):
         nic0, nic1, out = pair
         sim = cluster.sim
-        nic1.memory.deregister(out["region"])
+        # Registered, but at the initiator: the target NIC must refuse it.
+        foreign = nic0.memory.register_now(64)
 
         def writer():
             mem = nic0.memory.register_now(64)
             yield from out["client_vi"].post_rdma_write(
-                Descriptor(memory=mem, length=64), out["region"]
+                Descriptor(memory=mem, length=64), foreign
             )
 
         sim.process(writer())
-        with pytest.raises(ViaError):
+        with pytest.raises(ViaError, match="unregistered memory"):
             sim.run()
 
 
