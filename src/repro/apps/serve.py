@@ -34,10 +34,13 @@ quiesces with ``offered == completed + dropped``.
 Per-shard everything is a *determinism* decision, not just tidiness:
 a shard's float timeline (dispatch wake-ups, per-query latencies) is
 computed only from that shard's own events, so running a shard alone
-in a sub-cluster reproduces it bit-for-bit.  That is the property
-:mod:`repro.sim.partition` uses to fan one serving run across worker
-processes with a digest-identical merged result
-(:meth:`ServeResult.digest`).
+in a sub-cluster reproduces it bit-for-bit.  :func:`run_serve` relies
+on it: it simulates each shard on its own two-host simulator and
+merges the parts (:func:`run_shard_span`), so a heap and working set
+never hold more than one shard, and :mod:`repro.sim.partition` fans
+the same per-shard runs across worker processes.  Either way the
+merged result is digest-identical (:meth:`ServeResult.digest`) to one
+:class:`ServeApp` simulating the whole cluster.
 
 Metrics
 -------
@@ -75,6 +78,7 @@ __all__ = [
     "ServeResult",
     "ServeApp",
     "run_serve",
+    "run_shard_span",
     "SERVE_IMAGE_BYTES",
     "SERVE_BLOCK_BYTES",
 ]
@@ -122,16 +126,21 @@ class ServeConfig:
     def dataset(self) -> ImageDataset:
         return ImageDataset.with_block_bytes(self.image_bytes, self.block_bytes)
 
+    def response_blocks(self) -> Dict[str, int]:
+        """Response size of every query kind, in dataset blocks."""
+        n_blocks = self.dataset().n_blocks
+        return {
+            "complete": n_blocks,
+            "partial": min(self.partial_blocks, n_blocks),
+            "zoom": min(self.zoom_chunks, n_blocks),
+        }
+
     def blocks_for(self, kind: str) -> int:
         """Response size of one query kind, in dataset blocks."""
-        dataset = self.dataset()
-        if kind == "complete":
-            return dataset.n_blocks
-        if kind == "partial":
-            return min(self.partial_blocks, dataset.n_blocks)
-        if kind == "zoom":
-            return min(self.zoom_chunks, dataset.n_blocks)
-        raise ExperimentError(f"unknown query kind {kind!r}")
+        try:
+            return self.response_blocks()[kind]
+        except KeyError:
+            raise ExperimentError(f"unknown query kind {kind!r}") from None
 
     def tenant_specs(self) -> List[TenantSpec]:
         """The tenant population: by default one tenant per shard, so
@@ -280,11 +289,11 @@ class ServeResult:
 
         Floats enter as ``float.hex()`` so ULP-level divergence is
         caught.  The kernel ``events`` count is deliberately excluded:
-        it depends on how the run was orchestrated (one dispatcher
-        chain per shard vs a merged run has different bookkeeping
-        events), not on what the simulation computed.  A partitioned
-        run (:mod:`repro.sim.partition`) must produce the same digest
-        as the single-process run.
+        it depends on how the run was orchestrated (one simulator per
+        shard vs one for the whole cluster have different bookkeeping
+        events), not on what the simulation computed.  Every partition
+        (:func:`run_serve`, :mod:`repro.sim.partition`) must produce
+        the digest of one :class:`ServeApp` over the whole cluster.
         """
         h = hashlib.sha256()
         cfg = self.config
@@ -313,8 +322,8 @@ class ServeResult:
         """Combine per-shard-span results into the whole-cluster result.
 
         *parts* must be in ascending shard order; latencies concatenate
-        per kind in that order (matching the single-process recording
-        order), counters sum, and ``elapsed``/``high_water`` take the
+        per kind in that order (matching the whole-cluster app's
+        recording order), counters sum, and ``elapsed``/``high_water`` take the
         max — elapsed is already "slowest shard" within each part.
         """
         if not parts:
@@ -336,7 +345,11 @@ class ServeResult:
 
 
 class ServeApp:
-    """Builds the sharded pipelines and replays an open-loop schedule.
+    """Builds the sharded pipelines and replays an open-loop schedule
+    in one simulation.
+
+    :func:`run_serve` builds one of these per shard; one app over the
+    whole cluster is the oracle the partitioned runs are tested against.
 
     Parameters
     ----------
@@ -389,8 +402,8 @@ class ServeApp:
         self.state = _ServeState(
             config=config,
             bytes_for={
-                kind: config.blocks_for(kind) * config.block_bytes
-                for kind in QUERY_KINDS
+                kind: blocks * config.block_bytes
+                for kind, blocks in config.response_blocks().items()
             },
         )
         self.runtime = DataCutterRuntime(
@@ -425,21 +438,6 @@ class ServeApp:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def shard_arrivals(self, schedule: OpenLoopSchedule) -> List[list]:
-        """Split the schedule into this app's per-shard arrival slices.
-
-        Tenant -> global shard is ``tenant_index % n_shards`` (O(1),
-        independent of cluster width); a slice keeps schedule order,
-        which is time order.
-        """
-        slices: List[list] = [[] for _ in range(self.shard_hi - self.shard_lo)]
-        lo, hi, n = self.shard_lo, self.shard_hi, self.n_shards
-        for arrival in schedule.arrivals:
-            shard = arrival.tenant_index % n
-            if lo <= shard < hi:
-                slices[shard - lo].append(arrival)
-        return slices
-
     def _dispatch_shard(self, local: int, arrivals: list):
         """Replay one shard's arrival slice against its queue.
 
@@ -463,9 +461,13 @@ class ServeApp:
     # -- run -------------------------------------------------------------------------
 
     def run(self, schedule: OpenLoopSchedule) -> ServeResult:
-        """Execute the schedule; owns the whole simulation run."""
+        """Execute this app's span of the schedule in one simulation."""
+        slices = _split_by_shard(schedule, self.n_shards)
+        return self._replay(slices[self.shard_lo:self.shard_hi])
+
+    def _replay(self, slices: List[list]) -> ServeResult:
+        """Run the span's per-shard arrival slices; owns the simulation."""
         sim = self.cluster.sim
-        slices = self.shard_arrivals(schedule)
         elapsed: List[float] = [0.0] * len(self.instances)
         events_before = global_events_processed()
 
@@ -533,15 +535,56 @@ class ServeApp:
         )
 
 
+def _split_by_shard(schedule: OpenLoopSchedule, n_shards: int) -> List[list]:
+    """The schedule's per-shard arrival slices, in one pass.
+
+    Tenant -> global shard is ``tenant_index % n_shards`` (O(1),
+    independent of cluster width); a slice keeps schedule order, which
+    is time order.
+    """
+    slices: List[list] = [[] for _ in range(n_shards)]
+    for arrival in schedule.arrivals:
+        slices[arrival.tenant_index % n_shards].append(arrival)
+    return slices
+
+
+def _run_shard(config: ServeConfig, shard: int, arrivals: list) -> ServeResult:
+    # A function of its own so the shard's app and cluster go out of
+    # scope with it: memory holds one shard's simulation at a time.
+    cluster = serving_topology(2, seed=config.seed, first_host=2 * shard)
+    app = ServeApp(cluster, config, shard_range=(shard, shard + 1))
+    return app._replay([arrivals])
+
+
+def run_shard_span(
+    config: ServeConfig,
+    schedule: OpenLoopSchedule,
+    lo: int,
+    hi: int,
+) -> ServeResult:
+    """Run shards ``[lo, hi)`` of *schedule*, each on its own two-host
+    simulator, and merge them in shard order.
+
+    Shards never exchange a message, so each one's simulation is the
+    one the whole cluster computes for it (``ServeApp`` over
+    ``serving_topology(config.hosts)`` is the oracle the partition
+    tests hold this to), while every heap and working set stays one
+    shard small.
+    """
+    slices = _split_by_shard(schedule, config.n_shards)
+    return ServeResult.merged(config, [
+        _run_shard(config, shard, slices[shard]) for shard in range(lo, hi)
+    ])
+
+
 def run_serve(
     config: ServeConfig,
-    cluster: Optional[Cluster] = None,
     schedule: Optional[OpenLoopSchedule] = None,
 ) -> ServeResult:
-    """Build the serving topology (unless given), draw the schedule
-    (unless given), run, and return measured results."""
-    cluster = cluster or serving_topology(config.hosts, seed=config.seed)
-    schedule = schedule or build_schedule(
-        config.tenant_specs(), config.horizon, config.seed
-    )
-    return ServeApp(cluster, config).run(schedule)
+    """Draw the schedule (unless given), run every shard on its own
+    simulator, and return the merged measured results."""
+    if schedule is None:
+        schedule = build_schedule(
+            config.tenant_specs(), config.horizon, config.seed
+        )
+    return run_shard_span(config, schedule, 0, config.n_shards)

@@ -20,8 +20,8 @@ figure sweeps, so ``bench run serve --jobs N`` parallelizes per cell
 and reruns are cache hits.  Every metric is simulated or an event
 count — no wall-clock columns — so the comparator gates the whole
 record exactly.  The suite's third panel, ``serve_par``, is a meta
-panel timing shard-parallel execution on the host
-(:func:`serve_parallel_benchmark`).
+panel timing the serial and the shard-parallel execution of one run on
+the host (:func:`serve_parallel_benchmark`).
 """
 
 from __future__ import annotations
@@ -240,10 +240,11 @@ def serve_parallel_benchmark(quick: bool = False) -> ExperimentTable:
     fixed per-shard load) three ways, all compared by
     :meth:`~repro.apps.serve.ServeResult.digest`:
 
-    1. ``single_s`` — the ordinary single-process :func:`run_serve`;
+    1. ``single_s`` — the serial :func:`run_serve` in this process, one
+       two-host simulator per shard after another;
     2. ``parallel_s`` — :func:`repro.sim.partition.run_serve_parallel`
-       fanned out over ``--jobs`` worker processes, cold, populating a
-       throwaway chunk cache;
+       fanning the same per-shard runs, in chunks, over ``--jobs``
+       worker processes, cold, populating a throwaway chunk cache;
     3. ``warm_s`` — the same sharded run against that cache (every
        chunk must hit).
 
@@ -294,7 +295,7 @@ def serve_parallel_benchmark(quick: bool = False) -> ExperimentTable:
     identical = single.digest() == par.digest() == warm.digest()
     table = ExperimentTable(
         "serve_par",
-        "Shard-parallel serving: single process vs --jobs "
+        "Shard-parallel serving: serial vs --jobs "
         f"{SERVE_PAR_JOBS} vs fully cached (digest-checked)",
         ["hosts", "shards", "points", "events", "single_s",
          "parallel_s", "speedup_parallel", "warm_s", "speedup_cache",
@@ -473,7 +474,7 @@ def _serve_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
         claims += [
             Claim("serve_par_digest_identical",
                   "the sharded runs (parallel cold and fully cached) "
-                  "merge to the exact single-process ServeResult — "
+                  "merge to the exact serial ServeResult — "
                   "identical sha256 digest over counts and every "
                   "float-exact latency sample",
                   row["identical"] == "yes", "serve_par"),
@@ -481,8 +482,8 @@ def _serve_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
                   "the cached rerun hit the chunk cache on every point",
                   row["warm_hits"] == row["points"], "serve_par"),
             Claim("serve_par_3x_when_cores_allow",
-                  "--jobs 4 sharded run >= 3x faster than the single "
-                  "process (vacuous on hosts with fewer than 4 CPUs — "
+                  "--jobs 4 sharded run >= 3x faster than the serial "
+                  "run (vacuous on hosts with fewer than 4 CPUs — "
                   "parallelism is core-bound)",
                   (cpus is not None and cpus < 4)
                   or (row["speedup_parallel"] is not None

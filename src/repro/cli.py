@@ -176,16 +176,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"  dropped   : {result.dropped} "
           f"(drop rate {result.drop_rate:.3f})")
     print(f"  completed : {result.completed}")
-    print(f"  throughput: {result.throughput:,.0f} q/s sustained")
-    print(f"  latency   : p50 {result.p50 * 1e3:.3f} ms, "
-          f"p99 {result.p99 * 1e3:.3f} ms")
-    for kind in QUERY_KINDS:
-        if result.latencies[kind]:
-            print(f"    {kind:<9}: p50 {result.latency_p(50, kind) * 1e3:.3f} ms, "
-                  f"p99 {result.latency_p(99, kind) * 1e3:.3f} ms "
-                  f"({len(result.latencies[kind])} queries)")
-    print(f"  queueing  : high water {result.high_water}/{args.capacity}, "
-          f"{result.events_per_query:.1f} kernel events/query")
+    if result.completed:
+        print(f"  throughput: {result.throughput:,.0f} q/s sustained")
+        print(f"  latency   : p50 {result.p50 * 1e3:.3f} ms, "
+              f"p99 {result.p99 * 1e3:.3f} ms")
+        for kind in QUERY_KINDS:
+            if result.latencies[kind]:
+                print(f"    {kind:<9}: p50 "
+                      f"{result.latency_p(50, kind) * 1e3:.3f} ms, "
+                      f"p99 {result.latency_p(99, kind) * 1e3:.3f} ms "
+                      f"({len(result.latencies[kind])} queries)")
+    else:
+        print("  no query completed: no throughput, latency or "
+              "events-per-query to report")
+    per_query = (f", {result.events_per_query:.1f} kernel events/query"
+                 if result.completed else "")
+    print(f"  queueing  : high water {result.high_water}/{args.capacity}"
+          f"{per_query}")
     print(f"  digest    : {result.digest()}")
     if stats is not None:
         print(f"  sharding  : {stats['points']} chunk(s) over "

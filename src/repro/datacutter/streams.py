@@ -28,7 +28,7 @@ from repro.datacutter.buffers import (
     EOW_BYTES,
 )
 from repro.datacutter.scheduling import WriteScheduler
-from repro.errors import StreamClosedError
+from repro.errors import DataCutterError, StreamClosedError
 from repro.sim import Event, Simulator, Store
 from repro.sockets.api import BaseSocket
 
@@ -98,7 +98,11 @@ class OutputPort:
 
     def _transmit(self, idx: int, buffer: DataBuffer) -> Generator[Event, Any, None]:
         sock = self.connections[idx]
-        assert sock is not None, "stream used before connection setup"
+        if sock is None:
+            raise DataCutterError(
+                f"stream {self.stream_name!r} used before its connection "
+                f"to consumer copy {idx} was set up"
+            )
         yield from sock.send_message(
             buffer.size + BUFFER_HEADER_BYTES, payload=buffer, kind="data"
         )
@@ -107,8 +111,12 @@ class OutputPort:
 
     def send_eow(self, uow_id: int) -> Generator[Event, Any, None]:
         """Broadcast the end-of-work marker to every consumer copy."""
-        for sock in self.connections:
-            assert sock is not None
+        for idx, sock in enumerate(self.connections):
+            if sock is None:
+                raise DataCutterError(
+                    f"end-of-work on stream {self.stream_name!r} before its "
+                    f"connection to consumer copy {idx} was set up"
+                )
             yield from sock.send_message(
                 EOW_BYTES, payload=EOW(uow_id), kind="eow"
             )

@@ -9,17 +9,21 @@ dispatcher clocks off its own pre-drawn arrival slice
 built over a shard span therefore reproduces, float-for-float, exactly
 what the full cluster computes for those shards.
 
-This module turns that property into wall-clock speedup: it carves one
-logical serving run into contiguous shard-span *chunks*, runs each
-chunk as an ordinary bench :class:`~repro.bench.executor.Point` through
-a :class:`~repro.bench.executor.SweepExecutor` — inheriting its
+:func:`repro.apps.serve.run_serve` uses that property serially: it
+simulates each shard on its own two-host simulator, one after another
+(:func:`repro.apps.serve.run_shard_span`).  This module fans the same
+per-shard runs across processes: it carves one logical serving run
+into contiguous shard-span *chunks*, runs each chunk's shards as an
+ordinary bench :class:`~repro.bench.executor.Point` through a
+:class:`~repro.bench.executor.SweepExecutor` — inheriting its
 ``ProcessPoolExecutor`` fan-out, spec shipping, and content-addressed
 result cache — and merges the per-chunk results in deterministic shard
 order with :meth:`repro.apps.serve.ServeResult.merged`.  The merged
-result is **bit-identical** to the single-process run: same
-:meth:`~repro.apps.serve.ServeResult.digest` for ``--jobs 1``, ``2``,
-``4``, cold or cached (``tests/test_sim_partition.py`` holds it to
-that).
+result is **bit-identical** to one :class:`~repro.apps.serve.ServeApp`
+simulating the whole cluster: same
+:meth:`~repro.apps.serve.ServeResult.digest` for the serial
+``run_serve`` and for ``--jobs 1``, ``2``, ``4``, cold or cached
+(``tests/test_sim_partition.py`` holds it to that).
 
 Chunking is a function of the shard count only — never of ``jobs`` —
 so cache entries are shared between runs at different parallelism.
@@ -27,9 +31,11 @@ so cache entries are shared between runs at different parallelism.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.serve import ServeApp, ServeConfig, ServeResult
+from repro.apps.serve import ServeConfig, ServeResult, run_shard_span
+from repro.apps.workload import OpenLoopSchedule, build_schedule
 from repro.errors import ExperimentError
 
 __all__ = [
@@ -55,6 +61,26 @@ def shard_chunks(n_shards: int, target: int = TARGET_CHUNKS) -> List[Tuple[int, 
     return [(lo, min(lo + size, n_shards)) for lo in range(0, n_shards, size)]
 
 
+def _span_schedule(config: ServeConfig, lo: int, hi: int) -> OpenLoopSchedule:
+    """The arrivals of shards ``[lo, hi)`` alone, as the whole schedule
+    has them.
+
+    Every tenant draws from its own named substreams, so drawing only
+    the span's tenants yields exactly their arrivals in the whole
+    schedule, in the same order, without drawing every other chunk's
+    tenants too.  Only ``seq`` and the schedule's ``tenants`` differ:
+    they cover the span alone, and nothing downstream reads them.
+    """
+    specs = config.tenant_specs()
+    mine = [i for i in range(len(specs)) if lo <= i % config.n_shards < hi]
+    if not mine:
+        return OpenLoopSchedule([], config.horizon, (), config.seed)
+    span = build_schedule([specs[i] for i in mine], config.horizon, config.seed)
+    span.arrivals = [replace(a, tenant_index=mine[a.tenant_index])
+                     for a in span.arrivals]
+    return span
+
+
 def serve_shard_cell(
     protocol: str,
     hosts: int,
@@ -69,16 +95,14 @@ def serve_shard_cell(
 ) -> Dict[str, Any]:
     """Point fn: run shards ``[shard_lo, shard_hi)`` of a serving run.
 
-    Builds the sub-cluster covering exactly that span (global host
-    names, so name-keyed RNG reproduces the full-cluster behaviour),
-    replays the span's slice of the full pre-drawn schedule, and
-    returns the span's :class:`ServeResult` fields as a JSON-canonical
-    dict — the executor's cache and process-pool plumbing handle it
-    like any other figure point.
+    Replays the span's arrivals of the pre-drawn schedule
+    (:func:`_span_schedule`) through
+    :func:`~repro.apps.serve.run_shard_span` (one two-host simulator
+    per shard, global host names, so name-keyed RNG reproduces the
+    full-cluster behaviour) and returns the span's :class:`ServeResult`
+    fields as a JSON-canonical dict — the executor's cache and
+    process-pool plumbing handle it like any other figure point.
     """
-    from repro.apps.workload import build_schedule
-    from repro.cluster.topology import serving_topology
-
     config = ServeConfig(
         protocol=protocol,
         hosts=hosts,
@@ -89,13 +113,8 @@ def serve_shard_cell(
         tenants=tenants,
         seed=seed,
     )
-    schedule = build_schedule(config.tenant_specs(), config.horizon, config.seed)
-    cluster = serving_topology(
-        2 * (shard_hi - shard_lo), seed=config.seed, first_host=2 * shard_lo
-    )
-    result = ServeApp(cluster, config, shard_range=(shard_lo, shard_hi)).run(
-        schedule
-    )
+    schedule = _span_schedule(config, shard_lo, shard_hi)
+    result = run_shard_span(config, schedule, shard_lo, shard_hi)
     return {
         "offered": result.offered,
         "admitted": result.admitted,
@@ -153,8 +172,9 @@ def run_serve_parallel(
         fresh cache-less one is created and closed here.
 
     Returns the merged :class:`ServeResult` — digest-identical to
-    ``run_serve(config)`` — and a stats dict with ``points`` /
-    ``cache_hits`` / ``cache_misses`` / ``jobs``.
+    ``run_serve(config)`` and to the whole-cluster ``ServeApp`` — and
+    a stats dict with ``points`` / ``cache_hits`` / ``cache_misses`` /
+    ``jobs``.
     """
     from repro.bench.executor import SweepExecutor
 

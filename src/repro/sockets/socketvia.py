@@ -344,7 +344,9 @@ class SocketViaSocket(BaseSocket):
             if hdr.is_last:
                 if self._rx_got != hdr.total_size:
                     raise ProtocolError(
-                        f"SocketVIA reassembly mismatch: {self._rx_got} != "
+                        f"SocketVIA reassembly mismatch at "
+                        f"{self.stack.host.name} (VI {self.vi.name}), message "
+                        f"{hdr.msg_id}: got {self._rx_got}, expected "
                         f"{hdr.total_size}"
                     )
                 self._rx_got = 0

@@ -35,6 +35,7 @@ from typing import Generator, Optional
 
 from repro.cluster.host import Host
 from repro.cluster.link import Switch
+from repro.errors import ProtocolError
 from repro.net.calibration import TCP_CLAN_LANE
 from repro.net.message import Message
 from repro.net.model import ProtocolCostModel
@@ -125,10 +126,15 @@ class TcpSocket(EndpointSocket):
         # DataCutter's acknowledgment protocol in this library).
         self.stack._return_window(self.peer_host, self.peer_ep, unit.wnd)
         if unit.is_last:
-            assert self._rx_got == unit.total_size, (
-                f"reassembly mismatch: got {self._rx_got}, "
-                f"expected {unit.total_size}"
-            )
+            if self._rx_got != unit.total_size:
+                # No data retransmission is modeled: a lost, corrupted
+                # or reordered unit leaves the message short or long.
+                raise ProtocolError(
+                    f"TCP reassembly mismatch at {self.stack.host.name}"
+                    f".ep{self.ep_id} (from {self.peer_host}.ep{self.peer_ep}),"
+                    f" message {unit.msg_id}: got {self._rx_got}, "
+                    f"expected {unit.total_size}"
+                )
             self._rx_got = 0
             msg = Message(
                 size=unit.total_size,

@@ -158,6 +158,19 @@ class TestFigureExecution:
         assert "tlc" in capsys.readouterr().out
 
 
+class TestServeCommand:
+    def test_run_without_a_completed_query_reports_counts(self, capsys):
+        """A horizon too short for any arrival has no latency or
+        throughput to print; the command says so instead of raising."""
+        assert main(["serve", "--hosts", "2", "--rate", "1",
+                     "--horizon", "0.0001"]) == 0
+        out = capsys.readouterr().out
+        assert "offered   : 0" in out
+        assert "completed : 0" in out
+        assert "no query completed" in out
+        assert "digest    : " in out
+
+
 class TestTrace:
     def test_trace_sees_every_layer(self, capsys):
         # The points must run in this process under the command's

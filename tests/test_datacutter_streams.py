@@ -6,7 +6,7 @@ import pytest
 from repro.datacutter import DataBuffer
 from repro.datacutter.scheduling import make_scheduler
 from repro.datacutter.streams import InputPort, OutputPort
-from repro.errors import StreamClosedError
+from repro.errors import DataCutterError, StreamClosedError
 from repro.sim import Simulator, Store
 
 
@@ -126,6 +126,30 @@ class TestOutputPort:
             sim.process(reader(inp))
         sim.run()
         assert results == [None, None, None]
+
+    @pytest.mark.parametrize("op", ["write", "send_eow"])
+    def test_unconnected_consumer_raises(self, sim, op):
+        """A port whose consumer copy was never attached raises a typed
+        error (one that ``python -O`` keeps) naming the stream."""
+        sched = make_scheduler("rr", sim, 2, max_outstanding=2)
+        out = OutputPort(sim, "s[0]", sched)
+        a, _ = FakeSocket.pair(sim)
+        a._control_handlers = {}
+        out.attach(0, a)
+
+        def main():
+            if op == "write":
+                yield from out.write(DataBuffer(size=1))  # copy 0
+                yield from out.write(DataBuffer(size=1))  # copy 1
+            else:
+                yield from out.send_eow(1)
+
+        p = sim.process(main())
+        p.defused = True
+        sim.run()
+        assert isinstance(p.exception, DataCutterError)
+        assert "'s[0]'" in str(p.exception)
+        assert "consumer copy 1" in str(p.exception)
 
 
 class TestInputPort:

@@ -8,14 +8,19 @@ exercising the idempotent re-handshake, and host crashes rerouted
 around by demand-driven scheduling.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.apps.loadbalance import LoadBalanceConfig, run_loadbalance
 from repro.cluster import Cluster, StaticSlowdown
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
 from repro.errors import (
     ConnectionRefused,
     ConnectTimeout,
+    ProtocolError,
     RetryExhausted,
     SocketClosedError,
 )
@@ -365,6 +370,57 @@ class TestConnectOptionsAreTcpOnly:
         (name,) = option
         with pytest.raises(TypeError, match=name):
             api.socket("node00")
+
+
+class TestStreamDataFaultsAreProtocolErrors:
+    """No data retransmission is modeled, so a lost or reordered data
+    unit on a stream link breaks reassembly.  Both transports must say
+    so with a typed error naming the message, also under ``python -O``
+    (a bare ``assert`` would vanish there and TCP would deliver short
+    messages as whole ones)."""
+
+    @pytest.mark.parametrize("fault", [
+        LinkFault(loss_rate=0.05),
+        LinkFault(reorder_rate=0.2),
+    ], ids=["loss", "reorder"])
+    @pytest.mark.parametrize("protocol", ["tcp", "socketvia"])
+    def test_broken_reassembly_raises_protocol_error(self, protocol, fault):
+        plan = FaultPlan(name="lossy-data", seed=7,
+                         links={"clan.node01.down": fault})
+        with injecting(plan):
+            cluster = _two_hosts()
+        api = ProtocolAPI(cluster, protocol)
+        sim = cluster.sim
+
+        def server():
+            sock = yield from api.listen("node01", 80).accept()
+            for _ in range(50):
+                yield from sock.recv_message()
+
+        def client():
+            sock = api.socket("node00")
+            yield from sock.connect(("node01", 80))
+            for _ in range(50):
+                yield from sock.send_message(100_000)
+
+        sim.process(client())
+        srv = sim.process(server())
+        with pytest.raises(ProtocolError,
+                           match=r"node01.*message \d+: got \d+, "
+                                 r"expected 100000"):
+            sim.run(srv)
+
+    def test_library_checks_survive_python_O(self):
+        """``python -O`` strips ``assert`` statements, so the library
+        states its checks as raises."""
+        src = Path(repro.__file__).parent
+        bare = [
+            f"{path.relative_to(src)}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert bare == []
 
 
 class TestHostCrashRescheduling:
