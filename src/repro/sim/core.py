@@ -29,12 +29,19 @@ The run loop is deliberately allocation-light (see docs/ARCHITECTURE.md,
 * **One heap, one loop** — the pending set is a plain ``list`` kept in
   heap order by C :mod:`heapq`, and :meth:`run`, :meth:`run_all` and
   :meth:`step` all drive the single inlined :meth:`_run_loop`.
+* **Same-instant hand-off** — while an unbudgeted :meth:`run` resumes a
+  process that is its event's only callback, ``Resource.request``,
+  ``Store.get`` and ``Container.get`` return an event already processed
+  when they can serve it at once and nothing else is due now: that event
+  would have been the next pop, resuming the same process (see
+  :meth:`_run_loop`).
 """
 
 from __future__ import annotations
 
 from contextlib import AbstractContextManager, nullcontext
 from heapq import heapify, heappop, heappush
+from types import MethodType
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import EventLifecycleError, StopSimulation
@@ -136,6 +143,12 @@ class Simulator:
         self.pool_hits = 0
         #: Tombstone compaction sweeps performed.
         self.compactions = 0
+        #: Events handed straight to the process that asked for them
+        #: (counted in ``events_processed`` too; see :meth:`_run_loop`).
+        self.handoffs = 0
+        #: True only while the run loop resumes a process that may take
+        #: a same-instant hand-off; the sim primitives read it.
+        self._inline = False
 
     # -- clock ---------------------------------------------------------------
 
@@ -170,6 +183,23 @@ class Simulator:
         heappush(self._heap, (self._now + delay, priority, seq, event))
         event._gen = seq
         self._seq = seq + 1
+
+    def _hand_off(self, event: Event, value: Any) -> bool:
+        """Process *event* in place with *value* if nothing is due now.
+
+        Called by the sim primitives only while ``_inline`` is set, for
+        an event they could schedule at once; see :meth:`_run_loop` for
+        why the hand-off is exact.  Returns False, leaving *event*
+        untouched, when an entry is due at the current instant.
+        """
+        heap = self._heap
+        if heap and heap[0][0] == self._now:
+            return False
+        event._ok = True
+        event._value = value
+        event.callbacks = _PROCESSED_MARK
+        self.handoffs += 1
+        return True
 
     # -- lazy cancellation ------------------------------------------------------
 
@@ -292,6 +322,30 @@ class Simulator:
         the free lists, and the refcount probe.  Counter attributes are flushed
         back in the ``finally`` block so exceptions (including simulation
         failures propagated out of callbacks) keep the totals honest.
+
+        **Same-instant hand-off.**  When the loop has no budget (plain
+        :meth:`run`) and the event it dispatches is not the stop event,
+        a process resume that is the event's only callback runs with
+        ``_inline`` set.  During it, a primitive that can serve its
+        caller at once (``Resource.request``, ``Store.get``,
+        ``Container.get``) checks that no heap entry is due at the
+        current instant and, if none is, returns its event already
+        processed instead of pushing it.  That is exact: the pushed
+        entry would have been ``(now, NORMAL, seq)`` with the highest
+        sequence number, so with nothing else due now it would have been
+        the very next pop, and its only waiter is the process that just
+        yielded it, with nothing run in between.  The process therefore
+        resumes in the same order at the same simulated time; the event
+        still counts in ``events_processed`` (via :attr:`handoffs`).  A
+        budget (``run_all``, ``step``) or the stop event of
+        ``run(until=event)`` could end the loop before that next pop, a
+        second callback would run between push and pop, and a plain
+        callback is not the code that would resume, so none of those
+        hand off.  A caller must consume a handed-off event before it
+        starts a process, whose ``URGENT`` start would have popped before
+        the grant.  A condition built over it fires at construction
+        instead of at the pop, so the caller must yield that condition
+        before it schedules anything else.
         """
         heap = self._heap
         pop = heappop
@@ -304,9 +358,13 @@ class Simulator:
         unset = _UNSET
         timeout_cls = Timeout
         event_cls = Event
+        method_cls = MethodType
+        resume = Process._resume
+        inline = budget is None
         check_stop = stop_event is not None or stop_at != _INF
         limit = -1 if budget is None else budget
         peak = self.heap_peak
+        handoffs = self.handoffs
         n = 0
         try:
             while heap:
@@ -334,6 +392,15 @@ class Simulator:
                     if cbs.__class__ is list:
                         for callback in cbs:
                             callback(event)
+                    elif (
+                        inline
+                        and cbs.__class__ is method_cls
+                        and cbs.__func__ is resume
+                        and event is not stop_event
+                    ):
+                        self._inline = True
+                        cbs(event)
+                        self._inline = False
                     else:
                         cbs(event)
 
@@ -376,6 +443,8 @@ class Simulator:
                     event.defused = False
                     epool.append(event)
         finally:
+            self._inline = False
+            n += self.handoffs - handoffs
             self.events_processed += n
             _GLOBAL_EVENTS[0] += n
             if peak > self.heap_peak:

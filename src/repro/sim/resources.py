@@ -10,6 +10,12 @@ Three families, mirroring what the transport and runtime models need:
   (flow-control credits).
 
 All blocking operations return events to be ``yield``-ed by a process.
+
+``Resource.request``, ``Store.get`` and ``Container.get`` may return
+their event already *processed* (a same-instant hand-off; see
+:meth:`repro.sim.core.Simulator._run_loop`).  Yielding it resumes the
+process at once; hot callers skip the yield when ``event.processed``
+and read ``event.value`` directly.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from collections import deque
 from typing import Any, Deque, Generator, List, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import _UNSET, Event
+from repro.sim.events import _PROCESSED_MARK, _UNSET, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -94,12 +100,18 @@ class Resource:
     # -- public API ---------------------------------------------------------------
 
     def request(self) -> Request:
-        """Claim a slot; the returned event fires when granted."""
+        """Claim a slot; the returned event fires when granted.
+
+        A free slot claimed from a process the kernel may hand off to
+        comes back already processed.
+        """
         req = Request(self)
         users = self._users
         if len(users) < self.capacity and not self._queue:
             users.append(req)
-            req.succeed(req)
+            sim = self.sim
+            if not (sim._inline and sim._hand_off(req, req)):
+                req.succeed(req)
         else:
             self._queue.append(req)
         return req
@@ -122,7 +134,8 @@ class Resource:
         library charges CPU time to a host.
         """
         req = self.request()
-        yield req
+        if req.callbacks is not _PROCESSED_MARK:
+            yield req
         try:
             yield self.sim.timeout(duration)
         finally:
@@ -221,13 +234,20 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        """Take the next item; the event fires with it as value."""
-        ev = self.sim.event()
+        """Take the next item; the event fires with it as value.
+
+        With an item buffered, a process the kernel may hand off to gets
+        the event back already processed.
+        """
+        sim = self.sim
+        ev = sim.event()
         items = self._items
         if items:
             # No getter can be waiting while items are buffered: hand the
             # head over directly, refilling from a blocked putter if any.
-            ev.succeed(items.popleft())
+            item = items.popleft()
+            if not (sim._inline and sim._hand_off(ev, item)):
+                ev.succeed(item)
             if self._putters:
                 self._settle()
         else:
@@ -297,17 +317,23 @@ class Container:
         return self._level
 
     def get(self, amount: float = 1) -> Event:
-        """Take *amount* units, blocking until available."""
+        """Take *amount* units, blocking until available.
+
+        With the units available, a process the kernel may hand off to
+        gets the event back already processed.
+        """
         if amount <= 0:
             raise ValueError("amount must be positive")
         if amount > self.capacity:
             # Could never be satisfied, and would block every getter
             # queued behind it.
             raise ValueError("amount exceeds container capacity")
-        ev = self.sim.event()
+        sim = self.sim
+        ev = sim.event()
         if not self._getters and amount <= self._level:
             self._level -= amount
-            ev.succeed()
+            if not (sim._inline and sim._hand_off(ev, None)):
+                ev.succeed()
             if self._putters:
                 self._settle()
         else:

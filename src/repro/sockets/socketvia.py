@@ -24,7 +24,13 @@ performance substrate.  The construction follows the real design
   scheduling), mirroring how the paper's experiments are built;
 * credit-update notifications are tiny control frames on the reverse
   path (the real library piggybacks them on data when it can; the
-  explicit frame is the worst case and costs wire time accordingly).
+  explicit frame is the worst case and costs wire time accordingly);
+* send completions are reaped on demand: whenever the sender needs a
+  buffer (or posts an RDMA part) it drains the VI's send completion
+  queue, the way VIPL sockets libraries poll ``VipSendDone``.  A
+  fragment's credit returns only after its descriptor has completed,
+  so a sender holding a credit always finds a free buffer after the
+  drain; :meth:`SocketViaSocket._send_buffer` checks that.
 
 The per-host port registry, rx daemon and lean control-datagram path
 come from :class:`~repro.transport.base.StackBase`; connection setup
@@ -123,10 +129,11 @@ class SocketViaSocket(BaseSocket):
         self._rx_got = 0
         self._credits_pending = 0  # consumed buffers not yet advertised
         self._rx_loop_proc = None
-        self._tx_reaper = None
         # RDMA transfer mode (paper future work): the peer's landing
-        # region, learned via a control advert after connect.
+        # region, learned via a control advert after connect, and this
+        # side's staging region, registered when the advert goes out.
         self._peer_region = None
+        self._rdma_send_mem = None
         self._peer_region_ev: Optional[Event] = None
         self._rdma_mutex = Resource(self.sim, 1)
 
@@ -146,9 +153,6 @@ class SocketViaSocket(BaseSocket):
             self._send_pool.put_nowait(sdesc)
         self._rx_loop_proc = self.sim.process(
             self._rx_loop(), name=f"{stack.host.name}.sv.rx.{vi.vi_id}"
-        )
-        self._tx_reaper = self.sim.process(
-            self._tx_reap_loop(), name=f"{stack.host.name}.sv.reap.{vi.vi_id}"
         )
         # The VI id doubles as the endpoint id in the shared registry
         # (control datagrams address the peer's vi_id).
@@ -215,16 +219,23 @@ class SocketViaSocket(BaseSocket):
             yield from self._do_send_rdma(message)
             return
         buf = stack.model.mtu
+        # Hot path (the loop runs once per fragment): an event the sim
+        # hands back already processed (see repro.sim.resources) is not
+        # yielded.
         mutex = self._send_mutex.request()
-        yield mutex
+        if not mutex.processed:
+            yield mutex
         try:
             remaining = message.size
             offset = 0
             while True:
                 frag = min(remaining, buf)
                 is_last = frag == remaining
-                yield self._credits.get(1)
-                desc: Descriptor = yield self._send_pool.get()
+                credit = self._credits.get(1)
+                if not credit.processed:
+                    yield credit
+                got = self._send_buffer()
+                desc: Descriptor = got.value if got.processed else (yield got)
                 desc.length = frag
                 desc.payload = message.payload if is_last else None
                 desc.immediate = _FragmentHeader(
@@ -270,6 +281,7 @@ class SocketViaSocket(BaseSocket):
                 part = min(remaining, part_max)
                 is_last = part == remaining
                 yield self._credits.get(1)
+                self._reap_sends()
                 desc = Descriptor(
                     memory=self._rdma_send_mem,
                     length=part,
@@ -295,19 +307,40 @@ class SocketViaSocket(BaseSocket):
         finally:
             self._rdma_mutex.release(mutex)
 
-    def _tx_reap_loop(self):
-        """Recycle send descriptors as the NIC completes them.
+    def _reap_sends(self) -> None:
+        """Recycle every send descriptor the NIC has completed so far.
 
         RDMA-path descriptors reference the staging region rather than
         the fragment pool; they are one-shot and simply dropped here.
         """
-        while True:
-            desc: Descriptor = yield self.vi.send_cq.wait()
-            rdma_mem = getattr(self, "_rdma_send_mem", None)
-            if rdma_mem is not None and desc.memory.handle_id == rdma_mem.handle_id:
-                continue
-            desc.reset()
-            self._send_pool.put_nowait(desc)
+        cq = self.vi.send_cq
+        rdma_mem = self._rdma_send_mem
+        desc = cq.poll()
+        while desc is not None:
+            if desc.memory is not rdma_mem:
+                desc.reset()
+                self._send_pool.put_nowait(desc)
+            desc = cq.poll()
+
+    def _send_buffer(self) -> Event:
+        """Reap send completions, then take a free send buffer.
+
+        The caller holds a credit.  Each credit in use covers a fragment
+        whose descriptor has not completed yet, or has completed and
+        waits in the send CQ, so after the reap a held credit always
+        finds a buffer; an empty pool here would leave the sender
+        waiting forever, and raises :class:`ProtocolError` instead.
+        """
+        self._reap_sends()
+        pool = self._send_pool
+        if not pool.size:
+            raise ProtocolError(
+                f"SocketVIA send buffers exhausted at {self.stack.host.name} "
+                f"(VI {self.vi.name}) with a credit held: "
+                f"{self._credits.level} credit(s) left, "
+                f"{self.vi.send_cq.pending} completion(s) unreaped"
+            )
+        return pool.get()
 
     # -- receive ----------------------------------------------------------------------
 
@@ -480,7 +513,7 @@ class SocketViaStack(StackBase):
         def closer():
             if sock.vi is not None:
                 yield sock._credits.get(1)
-                desc: Descriptor = yield sock._send_pool.get()
+                desc: Descriptor = yield sock._send_buffer()
                 desc.length = 0
                 desc.immediate = _FragmentHeader(
                     msg_id=-1, kind="fin", total_size=0, offset=0, size=0,

@@ -65,8 +65,12 @@ class TcpSocket(EndpointSocket):
 
     def _do_send(self, message: Message) -> Generator:
         stack: TcpStack = self.stack
+        # Hot path (the loop runs once per transfer unit): an event the
+        # sim hands back already processed (see repro.sim.resources) is
+        # not yielded.
         mutex = self._send_mutex.request()
-        yield mutex
+        if not mutex.processed:
+            yield mutex
         try:
             remaining = message.size
             offset = 0
@@ -79,13 +83,17 @@ class TcpSocket(EndpointSocket):
             # ``wnd`` fields sum to exactly this claim.)
             batched = remaining > stack.max_unit and self._window.level >= remaining
             if batched:
-                yield self._window.get(remaining)
+                claim = self._window.get(remaining)
+                if not claim.processed:
+                    yield claim
             while True:
                 unit = min(remaining, stack.max_unit)
                 is_last = unit == remaining
                 wnd = max(unit, 1)  # zero-byte markers still cost a slot
                 if not batched:
-                    yield self._window.get(wnd)
+                    claim = self._window.get(wnd)
+                    if not claim.processed:
+                        yield claim
                 # Kernel send path: syscall + segmentation + copy.
                 yield from stack._charge_send(unit)
                 if stack.tracer.enabled:

@@ -343,9 +343,12 @@ class StackBase:
     def _rx_daemon(self):
         """The stack's receive path, strictly serialized per host:
         charge the transport's receive cost for each item, then route
-        it.  (The body is kept flat — this runs once per packet.)"""
+        it.  (The body is kept flat — this runs once per packet, so an
+        item handed back already processed is not yielded.)"""
+        rx_q = self._rx_q
         while True:
-            item = yield self._rx_q.get()
+            ev = rx_q.get()
+            item = ev.value if ev.processed else (yield ev)
             pkt = item.payload if type(item) is Transmission else item
             yield from self._charge_rx(pkt)
             self._route_packet(pkt)

@@ -89,8 +89,21 @@ class CompletionQueue:
         self._q.put_nowait(desc)
 
     def wait(self) -> Event:
-        """Event firing with the next completed descriptor."""
+        """Event firing with the next completed descriptor.
+
+        Like :meth:`Store.get`, it may come back already processed (a
+        same-instant hand-off).
+        """
         return self._q.get()
+
+    def poll(self) -> Optional[Descriptor]:
+        """Non-blocking reap: the oldest completion, or ``None``.
+
+        Schedules no event (``VipSendDone``/``VipRecvDone`` style);
+        SocketVIA drains its send CQ this way when it needs a buffer.
+        """
+        items = self._q._items
+        return items.popleft() if items else None
 
     def drain(self) -> Generator[Event, Any, Descriptor]:
         """Generator form of :meth:`wait` for ``yield from``."""

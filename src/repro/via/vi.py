@@ -85,8 +85,11 @@ class VirtualInterface:
         """Wait for the next receive completion, charging the host-side
         completion cost (completion reap + data copy out of the
         registered buffer) per the NIC's cost model.  Zero-copy
-        completions (RDMA notify) cost only the reap itself."""
-        desc = yield self.recv_cq.wait()
+        completions (RDMA notify) cost only the reap itself.  A
+        completion handed back already processed is not yielded (this
+        runs once per fragment)."""
+        ev = self.recv_cq.wait()
+        desc = ev.value if ev.processed else (yield ev)
         billed = 0 if getattr(desc, "zero_copy", False) else desc.length
         yield from self.nic.host.cpu.use(
             self.nic.model.host_recv_time(billed)

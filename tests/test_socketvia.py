@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.errors import ConnectionRefused, SocketClosedError
+from repro.errors import ConnectionRefused, ProtocolError, SocketClosedError
 from repro.sockets import ProtocolAPI
 
 
@@ -192,6 +192,61 @@ class TestDataTransfer:
 
         _, got = run_pair(cluster, server(), client())
         assert got == [0, 2, 4]
+
+
+class TestSendCompletionReaping:
+    """Send descriptors are reaped from the send CQ when a buffer is
+    needed; no reaper process runs."""
+
+    def test_stream_leaves_at_most_credits_unreaped(self, cluster):
+        credits = 4
+        api = ProtocolAPI(cluster, "socketvia", credits=credits)
+        sock_ref = {}
+
+        def server():
+            listener = api.listen("node01", 5000)
+            sock = yield from listener.accept()
+            for _ in range(40):
+                yield from sock.recv_message()
+
+        def client():
+            sock = sock_ref["c"] = api.socket("node00")
+            yield from sock.connect(("node01", 5000))
+            for _ in range(40):
+                yield from sock.send_message(8192)
+
+        run_pair(cluster, server(), client())
+        vi = sock_ref["c"].vi
+        assert vi.send_cq.completions == 40
+        assert vi.send_cq.pending <= credits
+        assert sock_ref["c"]._send_pool.size + vi.send_cq.pending == credits
+
+    def test_empty_pool_with_a_credit_held_is_a_protocol_error(self, cluster):
+        """Break the invariant by hand: take every free send buffer away.
+        The sender then holds a credit with no buffer to fill, which would
+        block it forever; it raises instead, naming the host and VI."""
+        api = ProtocolAPI(cluster, "socketvia", credits=4)
+
+        def server():
+            listener = api.listen("node01", 5000)
+            sock = yield from listener.accept()
+            yield from sock.recv_message()
+
+        def client():
+            sock = api.socket("node00")
+            yield from sock.connect(("node01", 5000))
+            for _ in range(4):
+                yield sock._send_pool.get()
+            try:
+                yield from sock.send_message(100)
+            except ProtocolError as exc:
+                return str(exc), sock.vi.name
+
+        sim = cluster.sim
+        sim.process(server())
+        message, vi_name = sim.run(sim.process(client()))
+        assert "send buffers exhausted at node00" in message
+        assert f"(VI {vi_name})" in message
 
 
 class TestClose:

@@ -71,6 +71,36 @@ class TestRdmaTransferMode:
         got = exchange(cluster, api, [1_000_000])
         assert got[0][0] == 1_000_000
 
+    def test_rdma_stream_drains_the_send_cq(self, cluster):
+        """RDMA parts complete on the send CQ too; the RDMA path drains
+        it, so a long stream leaves at most ``credits`` completions."""
+        credits = 4
+        api = ProtocolAPI(
+            cluster, "socketvia", credits=credits,
+            rdma_threshold=16 * 1024, rdma_region_bytes=64 * 1024,
+        )
+        sim = cluster.sim
+        sock_ref = {}
+
+        def server():
+            listener = api.listen("node01", 5000)
+            sock = yield from listener.accept()
+            for _ in range(40):
+                yield from sock.recv_message()
+
+        def client():
+            sock = sock_ref["c"] = api.socket("node00")
+            yield from sock.connect(("node01", 5000))
+            for _ in range(40):
+                yield from sock.send_message(64 * 1024)
+
+        srv = sim.process(server())
+        sim.process(client())
+        sim.run(srv)
+        send_cq = sock_ref["c"].vi.send_cq
+        assert send_cq.completions == 40
+        assert send_cq.pending <= credits
+
     def test_receiver_host_cost_is_thin(self, cluster):
         """The push model's payoff: receiving 1 MB costs the target host
         microseconds, not the ~700 us of per-fragment processing."""
