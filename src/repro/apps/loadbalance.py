@@ -22,7 +22,7 @@ Measured quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cluster.hetero import RandomSlowdown, SlowdownModel, StaticSlowdown
 from repro.cluster.topology import Cluster
@@ -70,7 +70,6 @@ class LoadBalanceConfig:
     slow_workers: Dict[int, SlowdownModel] = field(default_factory=dict)
     max_outstanding: int = 2
     seed: int = 23
-    stack_options: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def n_blocks(self) -> int:
@@ -146,7 +145,6 @@ def run_loadbalance(config: LoadBalanceConfig) -> LoadBalanceResult:
     """Build the Figure 6 cluster, run one dataset through, measure."""
     cluster = Cluster(seed=config.seed)
     cluster.add_fabric("clan")
-    cluster.add_fabric("ethernet")
     cluster.add_host("balancer")
     worker_hosts = []
     for i in range(config.n_workers):
@@ -164,7 +162,6 @@ def run_loadbalance(config: LoadBalanceConfig) -> LoadBalanceResult:
         cluster,
         protocol=config.protocol,
         max_outstanding=config.max_outstanding,
-        **config.stack_options,
     )
     app = runtime.instantiate(group, placement)
     out = {}

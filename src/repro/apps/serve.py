@@ -37,8 +37,9 @@ computed only from that shard's own events, so running a shard alone
 in a sub-cluster reproduces it bit-for-bit.  :func:`run_serve` relies
 on it: it simulates each shard on its own two-host simulator and
 merges the parts (:func:`run_shard_span`), so a heap and working set
-never hold more than one shard, and :mod:`repro.sim.partition` fans
-the same per-shard runs across worker processes.  Either way the
+never hold more than one shard, and
+:func:`repro.bench.servebench.run_serve_parallel` fans the same
+per-shard runs across worker processes.  Either way the
 merged result is digest-identical (:meth:`ServeResult.digest`) to one
 :class:`ServeApp` simulating the whole cluster.
 
@@ -292,7 +293,8 @@ class ServeResult:
         it depends on how the run was orchestrated (one simulator per
         shard vs one for the whole cluster have different bookkeeping
         events), not on what the simulation computed.  Every partition
-        (:func:`run_serve`, :mod:`repro.sim.partition`) must produce
+        (:func:`run_serve`,
+        :func:`repro.bench.servebench.run_serve_parallel`) must produce
         the digest of one :class:`ServeApp` over the whole cluster.
         """
         h = hashlib.sha256()

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.cluster.topology import Cluster
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
@@ -86,7 +86,6 @@ class TailsConfig:
     compute_ns_per_byte: float = 120.0
     max_outstanding: int = 8
     seed: int = 29
-    stack_options: Dict[str, Any] = field(default_factory=dict)
 
     def resolved_policy(self) -> ReplicationPolicy:
         """The replication knobs as a validated ReplicationPolicy."""
@@ -405,7 +404,6 @@ def run_tails(config: TailsConfig) -> TailsResult:
         cluster,
         protocol=config.protocol,
         max_outstanding=config.max_outstanding,
-        **config.stack_options,
     )
     app = runtime.instantiate(group, placement)
 

@@ -22,7 +22,7 @@ point used by the benchmarks and examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.apps.dataset import ImageDataset, PAPER_IMAGE_BYTES
 from repro.apps.queries import Query, Workload
@@ -50,8 +50,6 @@ class VizServerConfig:
     max_outstanding: int = 2
     closed_loop: bool = False
     seed: int = 11
-    #: Extra options forwarded to the protocol stack (credits, window).
-    stack_options: Dict[str, Any] = field(default_factory=dict)
 
     def dataset(self) -> ImageDataset:
         return ImageDataset.with_block_bytes(self.image_bytes, self.block_bytes)
@@ -214,7 +212,6 @@ class VizServerApp:
             cluster,
             protocol=config.protocol,
             max_outstanding=config.max_outstanding,
-            **config.stack_options,
         )
         self.app = runtime.instantiate(group, placement)
 

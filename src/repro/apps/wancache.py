@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache import BlockCache, CacheConfig
+from repro.cache import BlockCache
 from repro.cluster.topology import Cluster, wan_model, wan_topology
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
 from repro.errors import SocketClosedError
@@ -55,6 +55,7 @@ from repro.transport.striped import (
 __all__ = [
     "WAN_PORT",
     "EDGE_PORT",
+    "PLACEMENTS",
     "WanCacheConfig",
     "WanQueryResult",
     "WanBulkConfig",
@@ -66,16 +67,24 @@ __all__ = [
 WAN_PORT = 7100
 EDGE_PORT = 7200
 
+#: Where the cache host sits relative to the WAN (docs/CACHING.md):
+#: ``client`` — on the frontend host itself (a hit is a local lookup);
+#: ``edge`` — on a dedicated host one LAN hop from the frontend (the
+#: DPSS arrangement: a hit pays a LAN round trip at LAN rates);
+#: ``storage`` — on the storage side (a hit still crosses the WAN but
+#: skips the storage read penalty).
+PLACEMENTS = ("client", "edge", "storage")
+
 #: Default storage read penalty (ns/byte): ~200 MB/s media — what a
 #: storage-side cache hit skips.
 STORAGE_READ_NS_PER_BYTE = 5.0
 
 
-def _wan_api(cluster: Cluster, protocol: str, **stack_options) -> ProtocolAPI:
+def _wan_api(cluster: Cluster, protocol: str) -> ProtocolAPI:
     """A protocol API for the WAN fabric with the OC-12-rated model."""
     base = get_transport(protocol).default_model()
     return ProtocolAPI(cluster, protocol, fabric="wan",
-                       model=wan_model(base), **stack_options)
+                       model=wan_model(base))
 
 
 def _stripe_addresses(width: int, storage_hosts: int) -> List[Tuple[str, int]]:
@@ -93,15 +102,14 @@ def _stripe_addresses(width: int, storage_hosts: int) -> List[Tuple[str, int]]:
 class WanCacheConfig:
     """Knobs of the WAN query scenario.
 
-    ``placement`` / ``eviction`` / ``capacity_blocks`` /
-    ``stripe_width`` are the :class:`~repro.cache.CacheConfig` fields,
-    with its defaults.
+    ``placement`` (one of :data:`PLACEMENTS`) decides where the cache
+    sits; ``stripe_width`` is how many parallel stripes a logical read
+    fans across.  The cache is unbounded, so ``temperature``, not
+    eviction pressure, sets how many lookups hit.
     """
 
     protocol: str = "socketvia"
     placement: str = "edge"
-    eviction: str = "lru"
-    capacity_blocks: int = 0
     stripe_width: int = 1
     temperature: str = "cold"
     n_blocks: int = 64
@@ -115,19 +123,16 @@ class WanCacheConfig:
     seed: int = 13
 
     def __post_init__(self) -> None:
+        if self.placement not in PLACEMENTS:
+            raise ValueError(
+                f"placement must be one of {PLACEMENTS}, "
+                f"got {self.placement!r}")
+        if self.stripe_width < 1:
+            raise ValueError("stripe_width must be >= 1")
         if self.temperature not in ("cold", "warm", "hot"):
             raise ValueError(
                 f"temperature must be cold/warm/hot, "
                 f"got {self.temperature!r}")
-
-    def resolved_cache(self) -> CacheConfig:
-        """The cache + striping knobs as a validated CacheConfig."""
-        return CacheConfig(
-            placement=self.placement,
-            eviction=self.eviction,
-            capacity_blocks=self.capacity_blocks,
-            stripe_width=self.stripe_width,
-        )
 
     def query_blocks(self, q: int) -> List[int]:
         """Block ids of query *q*: a contiguous run, wrapping at the
@@ -149,13 +154,11 @@ class WanQueryResult:
     """Measured outcome of one query run."""
 
     config: WanCacheConfig
-    cache_config: CacheConfig
     latencies: List[float]
     elapsed: float
     hits: int
     misses: int
     insertions: int
-    evictions: int
 
     @property
     def hit_rate(self) -> float:
@@ -176,7 +179,6 @@ class _Shared:
     """State the filters, the edge agent, and the client share."""
 
     config: WanCacheConfig
-    cache_config: CacheConfig
     cache: BlockCache
     queries: Store
     completions: Dict[int, object]
@@ -195,8 +197,7 @@ class _FrontendFilter(Filter):
 
     def process(self, ctx):
         cfg = self.shared.config
-        cache_cfg = self.shared.cache_config
-        placement = cache_cfg.placement
+        placement = cfg.placement
         cache = self.shared.cache
         edge_sock = None
         stream = None
@@ -211,8 +212,7 @@ class _FrontendFilter(Filter):
         else:
             stream = yield from StripedStream.open(
                 self.wan_api, ctx.host,
-                _stripe_addresses(cache_cfg.stripe_width,
-                                  cfg.storage_hosts))
+                _stripe_addresses(cfg.stripe_width, cfg.storage_hosts))
         self.shared.ready.succeed()
         while True:
             item = yield self.shared.queries.get()
@@ -294,8 +294,7 @@ def _edge_agent(shared: _Shared, lan_api: ProtocolAPI,
     listener = lan_api.listen("edge00", EDGE_PORT)
     stream = yield from StripedStream.open(
         wan_api, "edge00",
-        _stripe_addresses(shared.cache_config.stripe_width,
-                          cfg.storage_hosts))
+        _stripe_addresses(cfg.stripe_width, cfg.storage_hosts))
     shared.edge_ready.succeed()
     sock = yield from listener.accept()
     while True:
@@ -321,7 +320,6 @@ def _edge_agent(shared: _Shared, lan_api: ProtocolAPI,
 def run_wan_queries(config: WanCacheConfig,
                     cluster: Optional[Cluster] = None) -> WanQueryResult:
     """Build the WAN topology, run the query workload, return stats."""
-    cache_cfg = config.resolved_cache()
     cluster = cluster or wan_topology(storage_hosts=config.storage_hosts,
                                       seed=config.seed)
     sim = cluster.sim
@@ -329,28 +327,25 @@ def run_wan_queries(config: WanCacheConfig,
     wan_api = _wan_api(cluster, config.protocol)
 
     cache_host = {"client": "client00", "edge": "edge00",
-                  "storage": "store00"}[cache_cfg.placement]
-    cache = BlockCache(cluster.host(cache_host),
-                       capacity_blocks=cache_cfg.capacity_blocks,
-                       eviction=cache_cfg.eviction,
-                       tracer=cluster.tracer)
+                  "storage": "store00"}[config.placement]
+    cache = BlockCache(cluster.host(cache_host), tracer=cluster.tracer)
     cache.warm(config.warm_blocks())
 
-    shared = _Shared(config=config, cache_config=cache_cfg, cache=cache,
+    shared = _Shared(config=config, cache=cache,
                      queries=Store(sim), completions={},
                      ready=sim.event(), edge_ready=sim.event())
 
     # Storage servers: one stripe endpoint per storage host.  With a
     # storage-side placement they consult the (shared) cache before
     # paying the read penalty.
-    storage_cache = cache if cache_cfg.placement == "storage" else None
+    storage_cache = cache if config.placement == "storage" else None
     for i in range(config.storage_hosts):
         sim.process(
             stripe_server(wan_api, f"store{i:02d}", WAN_PORT,
                           read_ns_per_byte=config.read_ns_per_byte,
                           cache=storage_cache),
             name=f"wancache.store{i:02d}")
-    if cache_cfg.placement == "edge":
+    if config.placement == "edge":
         sim.process(_edge_agent(shared, lan_api, wan_api),
                     name="wancache.edge")
 
@@ -390,13 +385,11 @@ def run_wan_queries(config: WanCacheConfig,
     sim.run(done)
     return WanQueryResult(
         config=config,
-        cache_config=cache_cfg,
         latencies=latencies,
         elapsed=results["elapsed"],
         hits=cache.hits,
         misses=cache.misses,
         insertions=cache.insertions,
-        evictions=cache.evictions,
     )
 
 

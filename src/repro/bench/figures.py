@@ -1066,6 +1066,10 @@ def _fig11_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
     rising = all(
         table.column(c)[0] < table.column(c)[-1]
         for c in sv_cols + tcp_cols)
+    # Series columns run in factor order, smallest first.
+    last = dict(zip(table.columns, table.rows[-1]))
+    factor_slows = all(
+        last[cols[0]] < last[cols[-1]] for cols in (sv_cols, tcp_cols))
     return [
         Claim("tcp_tracks_socketvia",
               "TCP within 15% of SocketVIA under demand-driven scheduling",
@@ -1073,6 +1077,10 @@ def _fig11_claims(tables: Dict[str, ExperimentTable]) -> List[Claim]:
         Claim("time_rises_with_p_slow",
               "execution time rises with P(slow), every series",
               rising, "11"),
+        Claim("time_rises_with_factor",
+              "at the highest P(slow), each protocol's largest "
+              "heterogeneity factor takes longer than its smallest",
+              factor_slows, "11"),
     ]
 
 

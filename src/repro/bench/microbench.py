@@ -65,7 +65,6 @@ PORT = 5000
 def _two_nodes(seed: int = 1) -> Cluster:
     cluster = Cluster(seed=seed)
     cluster.add_fabric("clan")
-    cluster.add_fabric("ethernet")
     cluster.add_hosts("node", 2)
     return cluster
 

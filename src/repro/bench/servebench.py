@@ -21,15 +21,19 @@ and reruns are cache hits.  Every metric is simulated or an event
 count — no wall-clock columns — so the comparator gates the whole
 record exactly.  The suite's third panel, ``serve_par``, is a meta
 panel timing the serial and the shard-parallel execution of one run on
-the host (:func:`serve_parallel_benchmark`).
+the host (:func:`serve_parallel_benchmark`); the shard-parallel runner
+it times, :func:`run_serve_parallel`, also backs
+``python -m repro serve --jobs N``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.serve import ServeConfig, run_serve
-from repro.bench.executor import Point, PointPlan
+from repro.apps.serve import ServeConfig, ServeResult, run_serve, run_shard_span
+from repro.apps.workload import OpenLoopSchedule, build_schedule
+from repro.bench.executor import Point, PointPlan, SweepExecutor
 from repro.bench.records import ExperimentTable, ratio
 from repro.bench.suites import (
     Anchor,
@@ -39,6 +43,7 @@ from repro.bench.suites import (
     _rows,
     _sweep_host_cpus,
 )
+from repro.errors import ExperimentError
 
 __all__ = [
     "serve_cell",
@@ -46,6 +51,11 @@ __all__ = [
     "serve_points",
     "serve_scale_points",
     "serve_parallel_benchmark",
+    "TARGET_CHUNKS",
+    "shard_chunks",
+    "serve_shard_cell",
+    "serve_shard_points",
+    "run_serve_parallel",
     "SERVE_HOSTS",
     "SERVE_RATES",
     "SERVE_BURSTY_RATES",
@@ -223,8 +233,193 @@ def serve_scale_points(
 
 
 # ---------------------------------------------------------------------------
-# serve_par — shard-parallel execution wall clock (repro.sim.partition)
+# serve_par — shard-parallel execution and its wall clock
+#
+# The serving scenario (docs/SERVING.md) is provably partitionable: a
+# tenant's queries live wholly on one shard (tenant_index % n_shards),
+# every shard's filters run on its own two hosts with per-port switch
+# state, per-host RNG streams are keyed by host name, and each shard's
+# dispatcher clocks off its own pre-drawn arrival slice
+# (ServeApp._dispatch_shard).  A sub-cluster built over a shard span
+# therefore reproduces, float-for-float, exactly what the full cluster
+# computes for those shards.
+#
+# run_serve uses that property serially: it simulates each shard on its
+# own two-host simulator, one after another (run_shard_span).
+# run_serve_parallel fans the same per-shard runs across processes: it
+# carves one logical serving run into contiguous shard-span chunks, runs
+# each chunk's shards as an ordinary bench Point through a
+# SweepExecutor (inheriting its process-pool fan-out, spec shipping and
+# content-addressed result cache), and merges the per-chunk results in
+# shard order with ServeResult.merged.  The merged result is
+# bit-identical to one ServeApp simulating the whole cluster: the same
+# ServeResult.digest for the serial run_serve and for --jobs 1, 2 or 4,
+# cold or cached (tests/test_sim_partition.py holds it to that).
+#
+# Chunking is a function of the shard count only, never of jobs, so
+# cache entries are shared between runs at different parallelism.
 # ---------------------------------------------------------------------------
+
+#: Upper bound on chunks per run: enough slack for dynamic load balance
+#: across any sane ``--jobs`` while keeping per-chunk topology setup
+#: amortized.  Chunk boundaries depend only on the shard count, so the
+#: same chunks (and cache keys) serve every ``--jobs`` value.
+TARGET_CHUNKS = 32
+
+
+def shard_chunks(n_shards: int, target: int = TARGET_CHUNKS) -> List[Tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` shard spans covering ``range(n_shards)``."""
+    if n_shards < 1:
+        raise ExperimentError(f"need >= 1 shard, got {n_shards}")
+    size = max(1, -(-n_shards // target))
+    return [(lo, min(lo + size, n_shards)) for lo in range(0, n_shards, size)]
+
+
+def _span_schedule(config: ServeConfig, lo: int, hi: int) -> OpenLoopSchedule:
+    """The arrivals of shards ``[lo, hi)`` alone, as the whole schedule
+    has them.
+
+    Every tenant draws from its own named substreams, so drawing only
+    the span's tenants yields exactly their arrivals in the whole
+    schedule, in the same order, without drawing every other chunk's
+    tenants too.  Only ``seq`` and the schedule's ``tenants`` differ:
+    they cover the span alone, and nothing downstream reads them.
+    """
+    specs = config.tenant_specs()
+    mine = [i for i in range(len(specs)) if lo <= i % config.n_shards < hi]
+    if not mine:
+        return OpenLoopSchedule([], config.horizon, (), config.seed)
+    span = build_schedule([specs[i] for i in mine], config.horizon, config.seed)
+    span.arrivals = [replace(a, tenant_index=mine[a.tenant_index])
+                     for a in span.arrivals]
+    return span
+
+
+def serve_shard_cell(
+    protocol: str,
+    hosts: int,
+    rate_per_shard: float,
+    horizon: float,
+    queue_capacity: int,
+    arrival: str,
+    tenants: int,
+    seed: int,
+    shard_lo: int,
+    shard_hi: int,
+) -> Dict[str, Any]:
+    """Point fn: run shards ``[shard_lo, shard_hi)`` of a serving run.
+
+    Replays the span's arrivals of the pre-drawn schedule
+    (:func:`_span_schedule`) through
+    :func:`~repro.apps.serve.run_shard_span` (one two-host simulator
+    per shard, global host names, so name-keyed RNG reproduces the
+    full-cluster behaviour) and returns the span's :class:`ServeResult`
+    fields as a JSON-canonical dict — the executor's cache and
+    process-pool plumbing handle it like any other figure point.
+    """
+    config = ServeConfig(
+        protocol=protocol,
+        hosts=hosts,
+        rate_per_shard=rate_per_shard,
+        horizon=horizon,
+        queue_capacity=queue_capacity,
+        arrival=arrival,
+        tenants=tenants,
+        seed=seed,
+    )
+    schedule = _span_schedule(config, shard_lo, shard_hi)
+    result = run_shard_span(config, schedule, shard_lo, shard_hi)
+    return {
+        "offered": result.offered,
+        "admitted": result.admitted,
+        "dropped": result.dropped,
+        "completed": result.completed,
+        "elapsed": result.elapsed,
+        "latencies": result.latencies,
+        "events": result.events,
+        "high_water": result.high_water,
+    }
+
+
+def serve_shard_points(config: ServeConfig) -> List[Point]:
+    """One executor :class:`Point` per shard chunk, in shard order."""
+    return [
+        Point(
+            "serve_shard",
+            serve_shard_cell,
+            {
+                "protocol": config.protocol,
+                "hosts": int(config.hosts),
+                "rate_per_shard": float(config.rate_per_shard),
+                "horizon": float(config.horizon),
+                "queue_capacity": int(config.queue_capacity),
+                "arrival": config.arrival,
+                "tenants": int(config.tenants),
+                "seed": int(config.seed),
+                "shard_lo": int(lo),
+                "shard_hi": int(hi),
+            },
+        )
+        for lo, hi in shard_chunks(config.n_shards)
+    ]
+
+
+def run_serve_parallel(
+    config: ServeConfig,
+    jobs: Optional[int] = None,
+    executor: Optional[SweepExecutor] = None,
+) -> Tuple[ServeResult, Dict[str, int]]:
+    """Run one serving simulation sharded across worker processes.
+
+    Parameters
+    ----------
+    config:
+        The whole-cluster run to perform.
+    jobs:
+        Worker processes (``None`` -> ``REPRO_JOBS`` env -> 1, ``0`` ->
+        one per CPU), ignored when *executor* is given.
+    executor:
+        An existing :class:`~repro.bench.executor.SweepExecutor` to run
+        the chunks through (shares its pool and cache); by default a
+        fresh cache-less one is created and closed here.
+
+    Returns the merged :class:`ServeResult` — digest-identical to
+    ``run_serve(config)`` and to the whole-cluster ``ServeApp`` — and
+    a stats dict with ``points`` / ``cache_hits`` / ``cache_misses`` /
+    ``jobs``.
+    """
+    points = serve_shard_points(config)
+    own = executor is None
+    ex = SweepExecutor(jobs=jobs, cache=None) if own else executor
+    try:
+        results = ex.run(points)
+    finally:
+        if own:
+            ex.close()
+    parts = [
+        ServeResult(
+            config=config,
+            offered=int(r.value["offered"]),
+            admitted=int(r.value["admitted"]),
+            dropped=int(r.value["dropped"]),
+            completed=int(r.value["completed"]),
+            elapsed=float(r.value["elapsed"]),
+            latencies={k: list(v) for k, v in r.value["latencies"].items()},
+            events=int(r.value["events"]),
+            high_water=int(r.value["high_water"]),
+        )
+        for r in results
+    ]
+    merged = ServeResult.merged(config, parts)
+    hits = sum(1 for r in results if r.cached)
+    stats = {
+        "points": len(points),
+        "cache_hits": hits,
+        "cache_misses": len(points) - hits,
+        "jobs": ex.jobs,
+    }
+    return merged, stats
+
 
 #: Cluster width of the full-axis shard-parallel leg (the acceptance
 #: bar's 1024-host run).
@@ -242,8 +437,7 @@ def serve_parallel_benchmark(quick: bool = False) -> ExperimentTable:
 
     1. ``single_s`` — the serial :func:`run_serve` in this process, one
        two-host simulator per shard after another;
-    2. ``parallel_s`` — :func:`repro.sim.partition.run_serve_parallel`
-       fanning the same per-shard runs, in chunks, over ``--jobs``
+    2. ``parallel_s`` — :func:`run_serve_parallel` fanning the same per-shard runs, in chunks, over ``--jobs``
        worker processes, cold, populating a throwaway chunk cache;
     3. ``warm_s`` — the same sharded run against that cache (every
        chunk must hit).
@@ -261,8 +455,6 @@ def serve_parallel_benchmark(quick: bool = False) -> ExperimentTable:
     import time
 
     from repro.bench.cache import ResultCache
-    from repro.bench.executor import SweepExecutor
-    from repro.sim.partition import run_serve_parallel
 
     config = ServeConfig(
         protocol="socketvia",

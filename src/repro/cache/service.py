@@ -2,17 +2,18 @@
 
 A :class:`BlockCache` holds block *identities* (the simulation never
 materializes block contents — payload tokens are a pure function of
-the block id, see :func:`repro.transport.striped.block_token`), with a
-configurable eviction policy and exact hit/miss/insert/evict
-accounting.  The cache itself is pure bookkeeping: it charges no
-simulated time.  Where a hit is *served from* — and therefore what a
+the block id, see :func:`repro.transport.striped.block_token`), with
+exact hit/miss/insert accounting.  It is unbounded: every scenario
+varies placement and temperature, not eviction pressure, so a block
+once admitted stays.  The cache itself is pure bookkeeping: it charges
+no simulated time.  Where a hit is *served from* — and therefore what a
 hit costs — is the scenario's contract (docs/CACHING.md): the
 wancache application serves client-placement hits locally, edge hits
 over one LAN round trip, and storage hits over the WAN minus the
 storage read penalty.
 
 Every transition emits a ``cache.*`` trace point (hit / miss / insert
-/ evict / warm), registered as its own layer in
+/ warm), registered as its own layer in
 :data:`repro.sim.trace.TRACE_LAYERS`, so ``python -m repro trace`` and
 the bench runner aggregate cache behavior next to the transport
 layers.
@@ -20,9 +21,8 @@ layers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.cache.policies import make_policy
 from repro.cluster.host import Host
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -32,8 +32,7 @@ __all__ = ["BlockCache"]
 class BlockCache:
     """Block-granular cache on one host with deterministic accounting.
 
-    ``capacity_blocks=0`` disables eviction (unbounded).  All
-    operations are O(1)-ish plain method calls — no simulated time —
+    All operations are O(1) plain method calls — no simulated time —
     so the cache composes with any process without perturbing event
     order.
     """
@@ -41,24 +40,16 @@ class BlockCache:
     def __init__(
         self,
         host: Host,
-        capacity_blocks: int = 0,
-        eviction: str = "lru",
         name: str = "cache",
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        if capacity_blocks < 0:
-            raise ValueError("capacity_blocks must be >= 0")
         self.host = host
         self.name = name
-        self.capacity_blocks = int(capacity_blocks)
-        self.eviction = eviction
         self.tracer = tracer
-        self._policy = make_policy(eviction)
         self._resident: Dict[object, None] = {}
         self.hits = 0
         self.misses = 0
         self.insertions = 0
-        self.evictions = 0
         self.warmed = 0
 
     # -- queries -----------------------------------------------------------------
@@ -73,7 +64,6 @@ class BlockCache:
         """Look one block up, counting a hit or a miss."""
         if block_id in self._resident:
             self.hits += 1
-            self._policy.on_hit(block_id)
             if self.tracer.enabled:
                 self.tracer.emit("cache.hit", host=self.host.name,
                                  cache=self.name, block=block_id)
@@ -86,48 +76,32 @@ class BlockCache:
 
     # -- updates -----------------------------------------------------------------
 
-    def put(self, block_id) -> Optional[object]:
-        """Insert one block; returns the evicted block id, if any.
+    def put(self, block_id) -> None:
+        """Insert one block.
 
-        Re-inserting a resident block refreshes its policy state
-        (counts as neither insertion nor hit).
+        Re-inserting a resident block counts as neither insertion nor
+        hit.
         """
         if block_id in self._resident:
-            self._policy.on_hit(block_id)
-            return None
-        evicted = None
-        if self.capacity_blocks and len(self._resident) >= self.capacity_blocks:
-            evicted = self._policy.victim()
-            self._policy.remove(evicted)
-            del self._resident[evicted]
-            self.evictions += 1
-            if self.tracer.enabled:
-                self.tracer.emit("cache.evict", host=self.host.name,
-                                 cache=self.name, block=evicted)
+            return
         self._resident[block_id] = None
-        self._policy.on_insert(block_id)
         self.insertions += 1
         if self.tracer.enabled:
             self.tracer.emit("cache.insert", host=self.host.name,
                              cache=self.name, block=block_id)
-        return evicted
 
     def warm(self, block_ids: Iterable) -> int:
         """Pre-populate without touching the hit/miss counters.
 
         Sets the cache's *temperature* before a measurement: the number
-        of blocks actually admitted (capacity permitting, insertion
-        order) is returned and counted in :attr:`warmed`.
+        of blocks newly admitted is returned and counted in
+        :attr:`warmed`.
         """
         admitted = 0
         for block_id in block_ids:
             if block_id in self._resident:
                 continue
-            if self.capacity_blocks and \
-                    len(self._resident) >= self.capacity_blocks:
-                break
             self._resident[block_id] = None
-            self._policy.on_insert(block_id)
             admitted += 1
         self.warmed += admitted
         if self.tracer.enabled and admitted:
@@ -153,12 +127,10 @@ class BlockCache:
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "insertions": self.insertions,
-            "evictions": self.evictions,
             "warmed": self.warmed,
             "resident": len(self._resident),
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        cap = self.capacity_blocks or "inf"
         return (f"<BlockCache {self.name!r}@{self.host.name} "
-                f"{len(self._resident)}/{cap} {self.eviction}>")
+                f"{len(self._resident)} blocks>")

@@ -163,7 +163,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         from repro.bench.cache import ResultCache
         from repro.bench.executor import SweepExecutor
-        from repro.sim.partition import run_serve_parallel
+        from repro.bench.servebench import run_serve_parallel
 
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
         with SweepExecutor(jobs=args.jobs, cache=cache) as executor:

@@ -81,7 +81,7 @@ class Host:
         #: enqueue on it (None = fault-free fast path).
         self.fault_state = None
         #: NICs attached by transports, keyed by an arbitrary label
-        #: ("via", "ethernet", ...).
+        #: (stacks use ``"{tag}.{fabric}"``, e.g. ``"tcp.clan"``).
         self.nics: Dict[str, Any] = {}
         #: Scratch attribute space for runtimes (DataCutter stores its
         #: per-host daemon here).

@@ -3,13 +3,14 @@
 :class:`Cluster` is the root container every experiment builds first::
 
     cluster = Cluster(seed=7)
+    cluster.add_fabric("clan")
     nodes = cluster.add_hosts("node", 16)      # node00 .. node15
-    # transports attach NICs to cluster.fabric("clan") / ("ethernet")
+    # transports attach NICs to cluster.fabric("clan")
 
-The default construction mirrors the paper's testbed: 16 dual-CPU nodes
-with a GigaNet cLAN fabric and a Fast Ethernet fabric (the experiments
-only exercise cLAN — TCP runs over cLAN's LAN-emulation path — but both
-fabrics exist so the TCP-over-FastEthernet configuration is available).
+:func:`paper_testbed` mirrors the paper's testbed: 16 dual-CPU nodes
+on a GigaNet cLAN fabric.  Both transports run over it — SocketVIA on
+VIA, TCP over cLAN's LAN-emulation path — so every figure compares
+them on the same wire.
 
 :func:`serving_topology` is the wide variant behind the ``serve``
 scenario (docs/SERVING.md): 64–1024 hosts on a single cLAN fabric,
@@ -188,13 +189,12 @@ def paper_testbed(
     seed: int = 0,
     tracer: Optional[Tracer] = None,
 ) -> Cluster:
-    """The paper's testbed: *nodes* dual-CPU hosts, cLAN + Fast Ethernet.
+    """The paper's testbed: *nodes* dual-CPU hosts on one cLAN fabric.
 
     Host names are ``node00`` .. ``node{nodes-1:02d}``.
     """
     cluster = Cluster(seed=seed, tracer=tracer)
     cluster.add_fabric("clan")
-    cluster.add_fabric("ethernet")
     cluster.add_hosts("node", nodes, cores=2)
     return cluster
 
@@ -209,15 +209,11 @@ def serving_topology(
     """A wide serving cluster: *hosts* nodes on a single cLAN fabric.
 
     Designed for the 64–1024-host range of the ``serve`` scenario
-    (docs/SERVING.md).  Differences from :func:`paper_testbed`:
-
-    * only the cLAN fabric is built (no Fast Ethernet), halving the
-      per-host port count — TCP runs over cLAN's LAN-emulation path,
-      which is the configuration every figure measures anyway;
-    * host names are four-digit (``host0000`` ..), so lexicographic
-      and positional order agree all the way to 1024 hosts (the
-      two-digit ``{prefix}{i:02d}`` scheme of :meth:`Cluster.add_hosts`
-      stops zero-padding at 100).
+    (docs/SERVING.md).  It differs from :func:`paper_testbed` in its
+    host names: they are four-digit (``host0000`` ..), so
+    lexicographic and positional order agree all the way to 1024 hosts
+    (the two-digit ``{prefix}{i:02d}`` scheme of
+    :meth:`Cluster.add_hosts` stops zero-padding at 100).
 
     Shard-indexed code should address hosts positionally via
     :meth:`Cluster.host_at`, which is O(1) in cluster size.
@@ -227,8 +223,8 @@ def serving_topology(
     per-host RNG stream is keyed by host *name* (not position), a
     sub-cluster reproduces bit-identical host behaviour to the same
     span inside the full cluster — the property
-    :mod:`repro.sim.partition` leans on to shard a serving simulation
-    across worker processes.
+    :func:`repro.bench.servebench.run_serve_parallel` leans on to shard
+    a serving simulation across worker processes.
     """
     if hosts < 2:
         raise TopologyError("serving topology needs at least 2 hosts")

@@ -249,13 +249,11 @@ class DataCutterRuntime:
         self,
         cluster: Cluster,
         protocol: str = "socketvia",
-        api: Optional[ProtocolAPI] = None,
         max_outstanding: int = DEFAULT_MAX_OUTSTANDING,
-        **api_options: Any,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
-        self.api = api or ProtocolAPI(cluster, protocol, **api_options)
+        self.api = ProtocolAPI(cluster, protocol)
         self.max_outstanding = max_outstanding
 
     def instantiate(self, group: FilterGroup, placement: Placement) -> "AppInstance":

@@ -12,7 +12,6 @@ from repro.net.calibration import (
     PAPER_RESULTS,
     SOCKETVIA_CLAN,
     TCP_CLAN_LANE,
-    TCP_FAST_ETHERNET,
     VIA_CLAN,
     get_model,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "TCP_CLAN_LANE",
     "SOCKETVIA_CLAN",
     "VIA_CLAN",
-    "TCP_FAST_ETHERNET",
     "PAPER_MICROBENCH",
     "PAPER_RESULTS",
 ]

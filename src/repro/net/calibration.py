@@ -31,7 +31,6 @@ __all__ = [
     "TCP_CLAN_LANE",
     "SOCKETVIA_CLAN",
     "VIA_CLAN",
-    "TCP_FAST_ETHERNET",
     "MODELS",
     "get_model",
     "PAPER_MICROBENCH",
@@ -93,25 +92,8 @@ SOCKETVIA_CLAN = ProtocolCostModel(
     host_cpu_protocol=False,
 )
 
-#: Kernel TCP over the testbed's Fast Ethernet fabric (100 Mbps) — not
-#: used by the paper's headline experiments but part of the testbed.
-TCP_FAST_ETHERNET = ProtocolCostModel(
-    name="tcp-fe",
-    o_send_msg=usec(5.0),
-    o_recv_msg=usec(5.0),
-    o_send_seg=usec(17.0),
-    o_recv_seg=usec(17.0),
-    c_send=nsec(4.0),
-    c_recv=nsec(4.0),
-    o_wire_seg=0.0,
-    g_wire=nsec(80.0),
-    l_wire=usec(30.0),
-    mtu=1460,
-    host_cpu_protocol=True,
-)
-
 MODELS: Dict[str, ProtocolCostModel] = {
-    m.name: m for m in (TCP_CLAN_LANE, VIA_CLAN, SOCKETVIA_CLAN, TCP_FAST_ETHERNET)
+    m.name: m for m in (TCP_CLAN_LANE, VIA_CLAN, SOCKETVIA_CLAN)
 }
 
 

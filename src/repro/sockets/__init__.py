@@ -7,7 +7,6 @@ __all__ = [
     "BaseSocket",
     "ListenerSocket",
     "ProtocolAPI",
-    "PROTOCOLS",
     "SocketViaStack",
     "SocketViaSocket",
 ]
@@ -17,7 +16,6 @@ __all__ = [
 # make ``import repro.transport`` circular.  PEP 562 keeps them lazy.
 _LAZY = {
     "ProtocolAPI": "repro.sockets.factory",
-    "PROTOCOLS": "repro.sockets.factory",
     "SocketViaStack": "repro.sockets.socketvia",
     "SocketViaSocket": "repro.sockets.socketvia",
 }

@@ -4,7 +4,7 @@ The paper's applications are "written using the sockets interface" and
 moved between TCP and SocketVIA without code changes; this module is
 the simulation's version of relinking against a different library::
 
-    api = ProtocolAPI(cluster, "socketvia")     # or "tcp", "udp", "tcp-fe"
+    api = ProtocolAPI(cluster, "socketvia")     # or "tcp", "udp"
     listener = api.listen("node01", 5000)
     sock = api.socket("node00")
     yield from sock.connect(("node01", 5000))
@@ -19,57 +19,24 @@ on the host's service registry.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.cluster.host import Host
 from repro.cluster.topology import Cluster
-from repro.errors import NetworkError
 from repro.net.model import ProtocolCostModel
 from repro.sockets.api import BaseSocket, ListenerSocket
 from repro.sockets.socketvia import SocketViaStack
 from repro.tcp.stack import TcpStack
-from repro.transport.registry import (
-    get_transport,
-    register_transport,
-    transport_names,
-)
+from repro.transport.registry import get_transport, register_transport
 from repro.udp.stack import UdpStack
 
-__all__ = ["ProtocolAPI", "PROTOCOLS"]
+__all__ = ["ProtocolAPI"]
 
 # The built-in backends.  "udp" borrows the TCP cost model: both ride
 # the same kernel path, and the paper calibrates only the TCP figures.
 register_transport("tcp", TcpStack, default_fabric="clan")
 register_transport("socketvia", SocketViaStack, default_fabric="clan")
-register_transport("tcp-fe", TcpStack, default_fabric="ethernet",
-                   model_name="tcp-fe")
 register_transport("udp", UdpStack, default_fabric="clan", model_name="tcp")
-
-
-class _ProtocolsView(Mapping):
-    """Live read-only view of the registry in the legacy
-    ``name -> (stack class, default fabric)`` shape."""
-
-    def __getitem__(self, name: str) -> Tuple[type, str]:
-        try:
-            spec = get_transport(name)
-        except NetworkError:
-            raise KeyError(name) from None
-        return spec.stack_cls, spec.default_fabric
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(transport_names())
-
-    def __len__(self) -> int:
-        return len(transport_names())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PROTOCOLS({sorted(self)})"
-
-
-#: protocol name -> (stack class, default fabric); tracks the registry.
-PROTOCOLS = _ProtocolsView()
 
 
 class ProtocolAPI:
@@ -81,11 +48,11 @@ class ProtocolAPI:
         The cluster to operate on.
     protocol:
         Any registered transport name: "tcp" (kernel sockets over cLAN
-        LANE), "socketvia" (user-level sockets over VIA), "tcp-fe"
-        (kernel sockets over Fast Ethernet), "udp" (kernel datagrams),
-        or a backend added via ``register_transport``.
+        LANE), "socketvia" (user-level sockets over VIA), "udp" (kernel
+        datagrams), or a backend added via ``register_transport``.
     fabric:
-        Override the transport's default fabric name.
+        Override the transport's default fabric name (the WAN cache
+        scenario runs its storage legs on ``"wan"``).
     model:
         Override the calibrated cost model (ablations).
     stack_options:

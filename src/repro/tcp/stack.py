@@ -26,7 +26,8 @@ handshake and control-datagram paths — comes from
 kernel-path costs and the windowed data plane.  Timing comes entirely
 from the stack's :class:`~repro.net.model.ProtocolCostModel` (default:
 the calibrated ``TCP_CLAN_LANE``), so the same code also models TCP
-over Fast Ethernet.
+over the WAN fabric with an OC-12-rated model
+(:func:`repro.cluster.topology.wan_model`).
 """
 
 from __future__ import annotations

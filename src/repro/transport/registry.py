@@ -14,8 +14,8 @@ Adding a backend is a subclass plus one call — no factory edits::
     register_transport("mytransport", MyStack, model_name="tcp")
     api = ProtocolAPI(cluster, "mytransport")   # just works
 
-The built-in transports (tcp, tcp-fe, udp, socketvia) register
-themselves when :mod:`repro.sockets.factory` is imported.
+The built-in transports (tcp, udp, socketvia) register themselves
+when :mod:`repro.sockets.factory` is imported.
 """
 
 from __future__ import annotations

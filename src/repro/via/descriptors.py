@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.sim import Event, Simulator, Store
 from repro.via.memory import MemoryHandle
@@ -104,11 +104,6 @@ class CompletionQueue:
         """
         items = self._q._items
         return items.popleft() if items else None
-
-    def drain(self) -> Generator[Event, Any, Descriptor]:
-        """Generator form of :meth:`wait` for ``yield from``."""
-        desc = yield self._q.get()
-        return desc
 
     @property
     def pending(self) -> int:

@@ -405,11 +405,11 @@ def test_fig2_quick_equals_full():
 def test_fig11_quick_axes_are_a_corner_of_the_baseline():
     """fig11's quick axes keep the full axes' workload, so their cells
     equal the committed baseline's (10, 90) x (2, 8) corner exactly,
-    and both claims pass on them."""
+    and all three claims pass on them."""
     quick = get_panel("11").table(True)
     claims = get_suite("fig11").claims({"11": quick})
     assert [c.key for c in claims if not c.passed] == []
-    assert len(claims) == 2
+    assert len(claims) == 3
     path = (Path(__file__).resolve().parent.parent
             / "benchmarks" / "baselines" / "BENCH_fig11.json")
     full = BenchRecord.load(str(path)).table("11")

@@ -182,7 +182,7 @@ class TestCluster:
     def test_paper_testbed_shape(self):
         cluster = paper_testbed()
         assert len(cluster.hosts) == 16
-        assert cluster.fabric_names == ["clan", "ethernet"]
+        assert cluster.fabric_names == ["clan"]
         assert cluster.host("node07").cpu.capacity == 2
 
     def test_duplicate_host_rejected(self):

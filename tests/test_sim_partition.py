@@ -1,5 +1,5 @@
 """Shard-partitioned serving tests (`repro.apps.serve.run_serve`,
-`repro.sim.partition`).
+`repro.bench.servebench.run_serve_parallel`).
 
 The load-bearing property: a serving simulation carved into shards or
 shard-span chunks and merged back is **bit-identical** to one coupled
@@ -23,15 +23,15 @@ from repro.apps.serve import ServeApp, ServeConfig, ServeResult, run_serve
 from repro.apps.workload import build_schedule
 from repro.bench.cache import ResultCache
 from repro.bench.executor import SweepExecutor
-from repro.cluster.topology import serving_topology
-from repro.errors import ExperimentError, TopologyError
-from repro.faults import FaultPlan, LinkFault, injecting
-from repro.sim.partition import (
+from repro.bench.servebench import (
     TARGET_CHUNKS,
     run_serve_parallel,
     serve_shard_points,
     shard_chunks,
 )
+from repro.cluster.topology import serving_topology
+from repro.errors import ExperimentError, TopologyError
+from repro.faults import FaultPlan, LinkFault, injecting
 
 CONFIG = ServeConfig(protocol="socketvia", hosts=16, rate_per_shard=300.0,
                      horizon=0.02, seed=17)

@@ -5,7 +5,7 @@ ProtocolAPI` must present the same :class:`~repro.sockets.api.BaseSocket`
 behaviour — the paper's central property (applications move between
 TCP and SocketVIA unchanged) enforced as a test matrix:
 
-* connection-oriented backends (tcp, socketvia, tcp-fe): connect /
+* connection-oriented backends (tcp, socketvia): connect /
   accept, intact FIFO message exchange, control datagrams, refusal,
   close-delivers-EOF, byte counters;
 * udp joins for the surface it shares (BaseSocket conventions,
@@ -24,11 +24,14 @@ from repro.cluster import Cluster
 from repro.errors import ConnectionRefused, NetworkError, SocketClosedError
 from repro.net import TCP_CLAN_LANE
 from repro.net.message import Message
-from repro.sockets import PROTOCOLS, ProtocolAPI
-from repro.transport import EndpointSocket, StackBase, temporary_transport
-
-#: Connection-oriented backends every test in the matrix runs against.
-CONNECTED_PROTOCOLS = ["tcp", "socketvia", "tcp-fe"]
+from repro.sockets import ProtocolAPI
+from repro.transport import (
+    EndpointSocket,
+    StackBase,
+    get_transport,
+    temporary_transport,
+    transport_names,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +77,6 @@ class DummyStack(StackBase):
 def cluster():
     c = Cluster(seed=11)
     c.add_fabric("clan")
-    c.add_fabric("ethernet")
     c.add_hosts("node", 3)
     return c
 
@@ -194,10 +196,6 @@ class TestSocketViaConformance(ConnectedConformance):
     protocol = "socketvia"
 
 
-class TestTcpFastEthernetConformance(ConnectedConformance):
-    protocol = "tcp-fe"
-
-
 class TestDummyBackendConformance(ConnectedConformance):
     """The whole matrix over an in-test backend: plugging a transport
     in takes a registry call, not a factory edit."""
@@ -210,11 +208,12 @@ class TestDummyBackendConformance(ConnectedConformance):
             yield make_api(cluster, "dummy")
 
     def test_visible_in_protocols_mapping_only_while_registered(self, api):
-        assert "dummy" in PROTOCOLS
-        assert PROTOCOLS["dummy"] == (DummyStack, "clan")
+        assert "dummy" in transport_names()
+        spec = get_transport("dummy")
+        assert (spec.stack_cls, spec.default_fabric) == (DummyStack, "clan")
 
     def test_gone_after_scope_exit(self, cluster):
-        assert "dummy" not in PROTOCOLS
+        assert "dummy" not in transport_names()
         with pytest.raises(NetworkError):
             make_api(cluster, "dummy")
 

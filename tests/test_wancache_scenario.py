@@ -5,18 +5,18 @@ What a cache hit *costs* is the placement contract (docs/CACHING.md):
 client hits are local, edge hits pay one LAN store-and-forward hop,
 storage hits still cross the WAN but skip the read penalty.  These
 tests pin that ordering, the exact hit/miss accounting at every
-temperature, determinism, and the config defaults.
+temperature, determinism, and the config defaults and validation.
 """
 
 import pytest
 
 from repro.apps.wancache import (
+    PLACEMENTS,
     WanBulkConfig,
     WanCacheConfig,
     run_wan_bulk,
     run_wan_queries,
 )
-from repro.cache import CacheConfig
 from repro.cluster.topology import wan_topology
 from repro.errors import TopologyError
 
@@ -53,7 +53,6 @@ class TestTemperatures:
     def test_cold_misses_populate_the_cache(self):
         cold = queries(temperature="cold")
         assert cold.insertions == 12
-        assert cold.evictions == 0
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
@@ -98,12 +97,24 @@ class TestAmbientConfig:
     fills them in."""
 
     def test_no_ambient_uses_defaults(self):
-        assert WanCacheConfig().resolved_cache() == CacheConfig()
+        cfg = WanCacheConfig()
+        assert (cfg.placement, cfg.stripe_width) == ("edge", 1)
+        assert cfg.placement in PLACEMENTS
 
     def test_ambient_drives_the_run(self):
         r = queries(temperature="hot", placement="client")
-        assert r.cache_config.placement == "client"
+        assert r.config.placement == "client"
         assert r.hit_rate == 1.0
+
+
+class TestWanCacheConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"placement": "moon"},
+        {"stripe_width": 0},
+    ])
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            WanCacheConfig(**kwargs)
 
 
 class TestTopology:
