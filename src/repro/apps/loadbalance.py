@@ -22,9 +22,9 @@ Measured quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.cluster.hetero import RandomSlowdown, SlowdownModel, StaticSlowdown
+from repro.cluster.hetero import SlowdownModel
 from repro.cluster.topology import Cluster
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
 from repro.datacutter.scheduling import WriteScheduler

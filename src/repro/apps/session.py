@@ -19,7 +19,7 @@ jumps bandwidth-sensitive (all blocks in view).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 

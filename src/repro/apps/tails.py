@@ -272,7 +272,8 @@ class TailsWorker(Filter):
                 board.retracted_before_start += 1
                 continue
             req = host.cpu.request()
-            yield req
+            if not req.processed:
+                yield req
             start = sim.now
             if rs.decided or me in rs.retracted:
                 # Lost while waiting for a core.

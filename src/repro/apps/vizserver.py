@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.apps.dataset import ImageDataset, PAPER_IMAGE_BYTES
-from repro.apps.queries import Query, Workload
+from repro.apps.queries import Workload
 from repro.cluster.topology import Cluster, paper_testbed
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
 from repro.errors import ExperimentError

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from repro.bench.records import ExperimentTable
 from repro.bench.suites import Anchor, BenchSuite, Claim, Panel
 from repro.cluster.topology import Cluster
-from repro.net.calibration import VIA_CLAN, get_model
+from repro.net.calibration import VIA_CLAN
 from repro.net.model import ProtocolCostModel
 from repro.sim.core import Simulator
 from repro.sim.events import Event

@@ -37,14 +37,8 @@ class BlockCache:
     order.
     """
 
-    def __init__(
-        self,
-        host: Host,
-        name: str = "cache",
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
+    def __init__(self, host: Host, tracer: Tracer = NULL_TRACER) -> None:
         self.host = host
-        self.name = name
         self.tracer = tracer
         self._resident: Dict[object, None] = {}
         self.hits = 0
@@ -66,12 +60,12 @@ class BlockCache:
             self.hits += 1
             if self.tracer.enabled:
                 self.tracer.emit("cache.hit", host=self.host.name,
-                                 cache=self.name, block=block_id)
+                                 block=block_id)
             return True
         self.misses += 1
         if self.tracer.enabled:
             self.tracer.emit("cache.miss", host=self.host.name,
-                             cache=self.name, block=block_id)
+                             block=block_id)
         return False
 
     # -- updates -----------------------------------------------------------------
@@ -88,7 +82,7 @@ class BlockCache:
         self.insertions += 1
         if self.tracer.enabled:
             self.tracer.emit("cache.insert", host=self.host.name,
-                             cache=self.name, block=block_id)
+                             block=block_id)
 
     def warm(self, block_ids: Iterable) -> int:
         """Pre-populate without touching the hit/miss counters.
@@ -106,7 +100,7 @@ class BlockCache:
         self.warmed += admitted
         if self.tracer.enabled and admitted:
             self.tracer.emit("cache.warm", host=self.host.name,
-                             cache=self.name, blocks=admitted)
+                             blocks=admitted)
         return admitted
 
     def resident(self) -> List[object]:
@@ -121,16 +115,5 @@ class BlockCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def stats(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "insertions": self.insertions,
-            "warmed": self.warmed,
-            "resident": len(self._resident),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"<BlockCache {self.name!r}@{self.host.name} "
-                f"{len(self._resident)} blocks>")
+        return f"<BlockCache@{self.host.name} {len(self._resident)} blocks>"

@@ -37,9 +37,12 @@ from repro.sim.trace import NULL_TRACER, Tracer
 __all__ = ["Transmission", "LinkDirection", "Port", "Switch"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """One unit of wire occupancy headed to a destination port.
+
+    One is built per wire frame, so the record is slotted (no ad-hoc
+    attributes) and the transports build it positionally.
 
     Attributes
     ----------
@@ -122,7 +125,7 @@ class LinkDirection:
 
     def _start(self, tx: Transmission) -> None:
         self._busy = True
-        now = self.sim.now
+        now = self.sim._now
         # Occupy for the service time — longer when cut-through data is
         # still trickling in from the other direction (ready_at).  Read
         # ready_at *before* the start hook: the switch's routing hook

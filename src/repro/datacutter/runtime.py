@@ -34,7 +34,7 @@ filter-group instances, as in the paper).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.topology import Cluster

@@ -18,7 +18,7 @@ producer copy and every consumer copy:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.datacutter.buffers import (
     ACK_BYTES,
@@ -168,7 +168,13 @@ class InputPort:
         demand-driven scheduler feeds on.
         """
         while True:
-            kind, payload, sock = yield self._merged.get()
+            # Once per buffer: a get the sim hands back already processed
+            # (see repro.sim.resources) is not yielded.  The name is
+            # rebound to the item before the next suspension, so the
+            # kernel can still recycle the event once it has fired.
+            item = self._merged.get()
+            item = item.value if item.processed else (yield item)
+            kind, payload, sock = item
             if kind == "eow":
                 self._eow_seen += 1
                 if self._eow_seen == self.n_producers:

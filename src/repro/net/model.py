@@ -27,6 +27,12 @@ Three timing views, used in different places:
 * :meth:`store_and_forward_time` — the sum of all stages: the time one
   isolated data chunk takes when each pipeline hop must fully receive a
   buffer before forwarding it (how DataCutter moves buffers).
+
+The per-unit costs a transport charges once per wire frame
+(:meth:`~ProtocolCostModel.wire_unit_service`, ``host_send_time``,
+``host_recv_time``, ``sender_time``, ``receiver_time``) are tabled per
+instance and size: the first call for a size evaluates the formula, and
+later calls return that same float.
 """
 
 from __future__ import annotations
@@ -38,6 +44,21 @@ from typing import Tuple
 from repro.sim.units import bytes_per_sec_to_mbps
 
 __all__ = ["ProtocolCostModel"]
+
+#: The per-size table of each tabled cost method, by attribute name.
+_TABLES = ("_sender_times", "_receiver_times", "_host_send_times",
+           "_host_recv_times", "_wire_unit_services")
+
+#: Sizes kept per table; a size beyond it is computed and not stored,
+#: which bounds memory under planners that sweep many sizes.
+_TABLE_MAX = 4096
+
+
+def _remember(table: dict, nbytes: int, cost: float) -> float:
+    """Store *cost* as *table*'s entry for *nbytes* (while there is room)."""
+    if len(table) < _TABLE_MAX:
+        table[nbytes] = cost
+    return cost
 
 
 @dataclass(frozen=True)
@@ -89,6 +110,13 @@ class ProtocolCostModel:
     mtu: int
     host_cpu_protocol: bool = True
 
+    def __post_init__(self) -> None:
+        # Plain instance attributes, not fields: the tables stay out of
+        # eq, hash and repr, and every copy (``with_updates`` goes through
+        # ``__init__``) starts with empty tables of its own.
+        for name in _TABLES:
+            object.__setattr__(self, name, {})
+
     # -- segmentation ------------------------------------------------------------
 
     def n_segments(self, nbytes: int) -> int:
@@ -109,13 +137,29 @@ class ProtocolCostModel:
 
     def sender_time(self, nbytes: int) -> float:
         """Total sender-host CPU time for one message."""
+        table = self._sender_times
+        try:
+            return table[nbytes]
+        except KeyError:
+            pass
         n = self.n_segments(nbytes)
-        return self.o_send_msg + n * self.o_send_seg + self.c_send * max(nbytes, 0)
+        return _remember(
+            table, nbytes,
+            self.o_send_msg + n * self.o_send_seg + self.c_send * max(nbytes, 0),
+        )
 
     def receiver_time(self, nbytes: int) -> float:
         """Total receiver-host CPU time for one message."""
+        table = self._receiver_times
+        try:
+            return table[nbytes]
+        except KeyError:
+            pass
         n = self.n_segments(nbytes)
-        return self.o_recv_msg + n * self.o_recv_seg + self.c_recv * max(nbytes, 0)
+        return _remember(
+            table, nbytes,
+            self.o_recv_msg + n * self.o_recv_seg + self.c_recv * max(nbytes, 0),
+        )
 
     def wire_time(self, nbytes: int) -> float:
         """Total wire occupancy for one message (excludes propagation)."""
@@ -128,15 +172,29 @@ class ProtocolCostModel:
         Equal to :meth:`sender_time` for host-based protocols; only the
         per-message doorbell cost for NIC-offloaded protocols.
         """
+        table = self._host_send_times
+        try:
+            return table[nbytes]
+        except KeyError:
+            pass
         if self.host_cpu_protocol:
-            return self.sender_time(nbytes)
-        return self.o_send_msg + self.c_send * max(nbytes, 0)
+            return _remember(table, nbytes, self.sender_time(nbytes))
+        return _remember(
+            table, nbytes, self.o_send_msg + self.c_send * max(nbytes, 0)
+        )
 
     def host_recv_time(self, nbytes: int) -> float:
         """Receiver cost charged to the *host* network path."""
+        table = self._host_recv_times
+        try:
+            return table[nbytes]
+        except KeyError:
+            pass
         if self.host_cpu_protocol:
-            return self.receiver_time(nbytes)
-        return self.o_recv_msg + self.c_recv * max(nbytes, 0)
+            return _remember(table, nbytes, self.receiver_time(nbytes))
+        return _remember(
+            table, nbytes, self.o_recv_msg + self.c_recv * max(nbytes, 0)
+        )
 
     # -- end-to-end views --------------------------------------------------------------
 
@@ -241,11 +299,16 @@ class ProtocolCostModel:
         wire occupancy; for host-based protocols it is part of the
         sender/receiver host times instead.
         """
+        table = self._wire_unit_services
+        try:
+            return table[nbytes]
+        except KeyError:
+            pass
         n = self.n_segments(nbytes)
         t = n * self.o_wire_seg + self.g_wire * max(nbytes, 0)
         if not self.host_cpu_protocol:
             t += n * (self.o_send_seg + self.o_recv_seg)
-        return t
+        return _remember(table, nbytes, t)
 
     def des_message_latency(self, nbytes: int, max_unit: int = 1 << 16) -> float:
         """One-way latency the message-fidelity DES produces on an idle

@@ -92,7 +92,7 @@ class BaseSocket:
             self._tracer.emit(
                 "sockets.send", proto=self._proto, size=size, kind=kind
             )
-        msg = Message(size=size, payload=payload, kind=kind, sent_at=self.sim.now)
+        msg = Message(size, payload, kind, self.sim._now)
         yield from self._do_send(msg)
         self.bytes_sent += size
         return msg

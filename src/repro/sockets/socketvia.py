@@ -55,6 +55,7 @@ from repro.net.calibration import SOCKETVIA_CLAN
 from repro.net.message import Message
 from repro.net.model import ProtocolCostModel
 from repro.sim import Container, Event, Resource, Store
+from repro.sim.events import _PROCESSED_MARK
 from repro.sockets.api import Address, BaseSocket, ListenerSocket
 from repro.transport.base import ControlDatagram, StackBase
 from repro.via.descriptors import Descriptor
@@ -70,7 +71,7 @@ CREDIT_FRAME_BYTES = 16
 DEFAULT_CREDITS = 32
 
 
-@dataclass
+@dataclass(slots=True)
 class _FragmentHeader:
     """Framing header carried as VIA immediate data with each fragment."""
 
@@ -83,7 +84,7 @@ class _FragmentHeader:
     sent_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _CreditFrame:
     """Reverse-path notification returning *count* credits."""
 
@@ -221,31 +222,30 @@ class SocketViaSocket(BaseSocket):
         buf = stack.model.mtu
         # Hot path (the loop runs once per fragment): an event the sim
         # hands back already processed (see repro.sim.resources) is not
-        # yielded.
+        # yielded, and the header is built positionally.
+        mark = _PROCESSED_MARK
         mutex = self._send_mutex.request()
-        if not mutex.processed:
+        if mutex.callbacks is not mark:
             yield mutex
         try:
-            remaining = message.size
+            size = message.size
+            remaining = size
             offset = 0
             while True:
                 frag = min(remaining, buf)
                 is_last = frag == remaining
                 credit = self._credits.get(1)
-                if not credit.processed:
+                if credit.callbacks is not mark:
                     yield credit
                 got = self._send_buffer()
-                desc: Descriptor = got.value if got.processed else (yield got)
+                desc: Descriptor = (
+                    got._value if got.callbacks is mark else (yield got)
+                )
                 desc.length = frag
                 desc.payload = message.payload if is_last else None
                 desc.immediate = _FragmentHeader(
-                    msg_id=message.msg_id,
-                    kind=message.kind,
-                    total_size=message.size,
-                    offset=offset,
-                    size=frag,
-                    is_last=is_last,
-                    sent_at=message.sent_at,
+                    message.msg_id, message.kind, size, offset, frag,
+                    is_last, message.sent_at,
                 )
                 # Charges user-level send cost on the host CPU, then the
                 # NIC engine carries the fragment.
@@ -383,12 +383,7 @@ class SocketViaSocket(BaseSocket):
                         f"{hdr.total_size}"
                     )
                 self._rx_got = 0
-                msg = Message(
-                    size=hdr.total_size,
-                    payload=payload,
-                    kind=hdr.kind,
-                    sent_at=hdr.sent_at,
-                )
+                msg = Message(hdr.total_size, payload, hdr.kind, hdr.sent_at)
                 msg.msg_id = hdr.msg_id
                 self._deliver(msg)
 
@@ -440,16 +435,14 @@ class SocketViaStack(StackBase):
         self.rdma_region_bytes = int(rdma_region_bytes)
         super().__init__(host, switch, model, consume_port=False)
         self.nic = ViaNic(host, switch, model=model, tag=f"sv.{model.name}")
+        #: Data, credit and control frames all ride the NIC's demux tag.
+        self.wire_tag = self.nic.tag
         self.nic.register_frame_handler(_CreditFrame, self._on_credit_frame)
         # Control datagrams arrive as VIA frames but take the shared
         # serialized rx path (charge host cost, route by endpoint id).
         self.nic.register_frame_handler(ControlDatagram, self._enqueue_rx)
 
     # -- wire plumbing (delegated to the VIA NIC) ----------------------------------------
-
-    @property
-    def wire_tag(self) -> str:
-        return self.nic.tag
 
     def _charge_send(self, nbytes: Optional[int]) -> Generator:
         """User-level send cost on the host CPU (no kernel involved)."""
@@ -497,8 +490,7 @@ class SocketViaStack(StackBase):
                 "via.credit", vi=vi.vi_id, count=count, dst=vi.peer_host
             )
         self._transmit(
-            vi.peer_host, CREDIT_FRAME_BYTES,
-            _CreditFrame(dst_vi=vi.peer_vi, count=count),
+            vi.peer_host, CREDIT_FRAME_BYTES, _CreditFrame(vi.peer_vi, count)
         )
 
     def _on_credit_frame(self, frame: _CreditFrame) -> None:

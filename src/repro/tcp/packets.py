@@ -38,9 +38,10 @@ FinPacket = Shutdown
 CtrlDatagram = ControlDatagram
 
 
-@dataclass
+@dataclass(slots=True)
 class DataUnit:
-    """One transfer unit of an application message.
+    """One transfer unit of an application message (slotted: one is
+    built per unit on the wire).
 
     A message larger than the stack's ``max_unit`` is sent as several
     units; ``offset``/``total_size`` let the receiver reassemble, and

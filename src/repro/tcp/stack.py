@@ -41,6 +41,7 @@ from repro.net.calibration import TCP_CLAN_LANE
 from repro.net.message import Message
 from repro.net.model import ProtocolCostModel
 from repro.sim import Container, Resource
+from repro.sim.events import _PROCESSED_MARK
 from repro.tcp.packets import ControlDatagram, DataUnit
 from repro.transport.base import EndpointSocket, StackBase
 
@@ -68,12 +69,14 @@ class TcpSocket(EndpointSocket):
         stack: TcpStack = self.stack
         # Hot path (the loop runs once per transfer unit): an event the
         # sim hands back already processed (see repro.sim.resources) is
-        # not yielded.
+        # not yielded, and the unit is built positionally.
+        mark = _PROCESSED_MARK
         mutex = self._send_mutex.request()
-        if not mutex.processed:
+        if mutex.callbacks is not mark:
             yield mutex
         try:
-            remaining = message.size
+            size = message.size
+            remaining = size
             offset = 0
             # Batch window claim: a multi-unit message whose bytes all fit
             # in the currently-available window takes them in one get —
@@ -85,7 +88,7 @@ class TcpSocket(EndpointSocket):
             batched = remaining > stack.max_unit and self._window.level >= remaining
             if batched:
                 claim = self._window.get(remaining)
-                if not claim.processed:
+                if claim.callbacks is not mark:
                     yield claim
             while True:
                 unit = min(remaining, stack.max_unit)
@@ -93,7 +96,7 @@ class TcpSocket(EndpointSocket):
                 wnd = max(unit, 1)  # zero-byte markers still cost a slot
                 if not batched:
                     claim = self._window.get(wnd)
-                    if not claim.processed:
+                    if claim.callbacks is not mark:
                         yield claim
                 # Kernel send path: syscall + segmentation + copy.
                 yield from stack._charge_send(unit)
@@ -106,16 +109,10 @@ class TcpSocket(EndpointSocket):
                     self.peer_host,
                     unit,
                     DataUnit(
-                        dst_ep=self.peer_ep,
-                        msg_id=message.msg_id,
-                        kind=message.kind,
-                        total_size=message.size,
-                        offset=offset,
-                        size=unit,
-                        is_last=is_last,
-                        wnd=wnd,
-                        payload=message.payload if is_last else None,
-                        sent_at=message.sent_at,
+                        self.peer_ep, message.msg_id, message.kind, size,
+                        offset, unit, is_last, wnd,
+                        message.payload if is_last else None,
+                        message.sent_at,
                     ),
                 )
                 offset += unit
@@ -145,12 +142,8 @@ class TcpSocket(EndpointSocket):
                     f"expected {unit.total_size}"
                 )
             self._rx_got = 0
-            msg = Message(
-                size=unit.total_size,
-                payload=unit.payload,
-                kind=unit.kind,
-                sent_at=unit.sent_at,
-            )
+            msg = Message(unit.total_size, unit.payload, unit.kind,
+                          unit.sent_at)
             msg.msg_id = unit.msg_id
             self._deliver(msg)
 

@@ -51,6 +51,7 @@ from repro.faults.retry import RetryPolicy
 from repro.net.demux import demux_for
 from repro.net.model import ProtocolCostModel
 from repro.sim import Store
+from repro.sim.events import _PROCESSED_MARK
 from repro.sim.trace import NULL_TRACER
 from repro.sockets.api import Address, BaseSocket, ListenerSocket
 
@@ -100,7 +101,7 @@ class Shutdown:
     dst_ep: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ControlDatagram:
     """Small out-of-band datagram (application-level acknowledgments).
 
@@ -182,8 +183,8 @@ class StackBase:
     ``_route_data(pkt)``
         Handle a data-plane packet the shared scaffolding does not know.
     ``wire_tag``
-        Demux tag stamped on outgoing transmissions (defaults to
-        ``tag``).
+        Attribute: the demux tag stamped on outgoing transmissions
+        (``tag`` unless the subclass sets another after ``__init__``).
     """
 
     #: Protocol name; also the default demux tag.
@@ -207,6 +208,8 @@ class StackBase:
         self.switch = switch
         self.model = model
         self.tracer = getattr(host, "tracer", NULL_TRACER)
+        #: Demux tag stamped on outgoing transmissions.
+        self.wire_tag = self.tag
         #: Connect resilience (see repro.faults.retry): a retry policy
         #: bounds each attempt with its ``attempt_timeout`` and
         #: retransmits with backoff; ``connect_timeout`` alone bounds
@@ -307,21 +310,13 @@ class StackBase:
 
     # -- wire plumbing ------------------------------------------------------------------
 
-    @property
-    def wire_tag(self) -> str:
-        """Demux tag stamped on outgoing transmissions."""
-        return self.tag
-
     def _transmit(self, dst_host: str, size: int, payload: Any) -> None:
         """Occupy the uplink with one *size*-byte frame carrying *payload*."""
+        model = self.model
         self.port.uplink.send(
             Transmission(
-                dst=dst_host,
-                service_time=self.model.wire_unit_service(size),
-                propagation=self.model.l_wire,
-                payload=payload,
-                size=size,
-                tag=self.wire_tag,
+                dst_host, model.wire_unit_service(size), model.l_wire,
+                payload, size, self.wire_tag,
             )
         )
 
@@ -346,9 +341,10 @@ class StackBase:
         it.  (The body is kept flat — this runs once per packet, so an
         item handed back already processed is not yielded.)"""
         rx_q = self._rx_q
+        mark = _PROCESSED_MARK
         while True:
             ev = rx_q.get()
-            item = ev.value if ev.processed else (yield ev)
+            item = ev._value if ev.callbacks is mark else (yield ev)
             pkt = item.payload if type(item) is Transmission else item
             yield from self._charge_rx(pkt)
             self._route_packet(pkt)
@@ -522,9 +518,7 @@ class StackBase:
         yield from self._charge_send(size)
         dst_host, dst_ep = self._control_route(sock)
         self._transmit(
-            dst_host, size,
-            ControlDatagram(dst_ep=dst_ep, kind=kind, size=size,
-                            payload=payload),
+            dst_host, size, ControlDatagram(dst_ep, kind, size, payload)
         )
 
     def __repr__(self) -> str:  # pragma: no cover

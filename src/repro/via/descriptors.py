@@ -32,9 +32,9 @@ DESC_ERROR = "error"
 _desc_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Descriptor:
-    """One VIA work request.
+    """One VIA work request (slotted: touched once per frame).
 
     Attributes
     ----------
@@ -84,7 +84,7 @@ class CompletionQueue:
         self.completions = 0
 
     def _post(self, desc: Descriptor) -> None:
-        desc.completed_at = self.sim.now
+        desc.completed_at = self.sim._now
         self.completions += 1
         self._q.put_nowait(desc)
 

@@ -43,24 +43,36 @@ __all__ = ["ViaNic", "ViaListener"]
 HANDSHAKE_BYTES = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class _DataFrame:
+    """One send descriptor's data on the wire (built once per frame)."""
+
     dst_vi: int
-    src_vi: int
     length: int
     payload: Any
     immediate: Any
+    #: The sending VI and its descriptor, completed when the frame lands.
+    src: VirtualInterface
+    desc: Descriptor
 
 
 @dataclass
 class _RdmaWriteFrame:
     dst_vi: int
-    src_vi: int
     length: int
     payload: Any
     remote_handle: Any
     immediate: Any
     notify: bool
+    src: VirtualInterface
+    desc: Descriptor
+
+
+def _complete_sent(tx: Transmission) -> None:
+    """``on_delivered`` hook of a data or RDMA-write frame: the sending
+    descriptor completes once its frame reaches the peer's port."""
+    frame = tx.payload
+    frame.src._complete_send(frame.desc)
 
 
 @dataclass
@@ -213,22 +225,20 @@ class ViaNic:
     # -- wire plumbing ----------------------------------------------------------------------
 
     def _transmit_data(self, vi: VirtualInterface, desc: Descriptor) -> None:
-        frame = _DataFrame(
-            dst_vi=vi.peer_vi,
-            src_vi=vi.vi_id,
-            length=desc.length,
-            payload=desc.payload,
-            immediate=desc.immediate,
-        )
+        # Once per fragment: both records are built positionally (see
+        # the field order of _DataFrame and Transmission).
+        length = desc.length
+        model = self.model
         self.port.uplink.send(
             Transmission(
-                dst=vi.peer_host,
-                service_time=self.model.wire_unit_service(desc.length),
-                propagation=self.model.l_wire,
-                payload=frame,
-                size=desc.length,
-                tag=self.tag,
-                on_delivered=lambda tx, v=vi, d=desc: v._complete_send(d),
+                vi.peer_host,
+                model.wire_unit_service(length),
+                model.l_wire,
+                _DataFrame(vi.peer_vi, length, desc.payload, desc.immediate,
+                           vi, desc),
+                length,
+                self.tag,
+                _complete_sent,
             )
         )
 
@@ -237,12 +247,13 @@ class ViaNic:
     ) -> None:
         frame = _RdmaWriteFrame(
             dst_vi=vi.peer_vi,
-            src_vi=vi.vi_id,
             length=desc.length,
             payload=desc.payload,
             remote_handle=remote,
             immediate=desc.immediate,
             notify=notify,
+            src=vi,
+            desc=desc,
         )
         self.port.uplink.send(
             Transmission(
@@ -252,7 +263,7 @@ class ViaNic:
                 payload=frame,
                 size=desc.length,
                 tag=self.tag,
-                on_delivered=lambda tx, v=vi, d=desc: v._complete_send(d),
+                on_delivered=_complete_sent,
             )
         )
 

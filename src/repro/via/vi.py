@@ -26,6 +26,7 @@ from typing import Any, Deque, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import ViaError
 from repro.sim import Event
+from repro.sim.events import _PROCESSED_MARK
 from repro.via.descriptors import (
     CompletionQueue,
     DESC_DONE,
@@ -89,8 +90,8 @@ class VirtualInterface:
         completion handed back already processed is not yielded (this
         runs once per fragment)."""
         ev = self.recv_cq.wait()
-        desc = ev.value if ev.processed else (yield ev)
-        billed = 0 if getattr(desc, "zero_copy", False) else desc.length
+        desc = ev._value if ev.callbacks is _PROCESSED_MARK else (yield ev)
+        billed = 0 if desc.zero_copy else desc.length
         yield from self.nic.host.cpu.use(
             self.nic.model.host_recv_time(billed)
         )

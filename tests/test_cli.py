@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 
 
 class TestParser:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.datacutter import (
-    DataBuffer,
     DataCutterRuntime,
     Filter,
     FilterGroup,

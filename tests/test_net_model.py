@@ -1,13 +1,17 @@
 """Unit tests for the protocol cost models and calibration."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
+    MODELS,
     PAPER_MICROBENCH,
     SOCKETVIA_CLAN,
     TCP_CLAN_LANE,
     VIA_CLAN,
-    ProtocolCostModel,
     get_model,
 )
 from repro.net.message import Message
@@ -144,3 +148,37 @@ class TestModelUtilities:
 
     def test_message_ids_unique(self):
         assert Message(size=1).msg_id != Message(size=1).msg_id
+
+
+#: The per-unit cost methods each model tables per instance and size.
+TABLED = ("wire_unit_service", "host_send_time", "host_recv_time",
+          "sender_time", "receiver_time")
+
+
+class TestCostTables:
+    """A tabled cost is bit-for-bit the formula's float, per instance."""
+
+    @given(sizes=st.lists(st.integers(min_value=0, max_value=1 << 24),
+                          min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_tables_return_the_formula_exactly(self, sizes):
+        for parent in MODELS.values():
+            for n in sizes:
+                for name in TABLED:
+                    getattr(parent, name)(n)
+            # Warm tables stay out of eq, hash and repr.
+            cold = replace(parent)
+            assert cold == parent and hash(cold) == hash(parent)
+            assert repr(cold) == repr(parent)
+            # Made after the parent's tables are warm: were they shared,
+            # the copy would answer with the parent's wire times.
+            copy = parent.with_updates(g_wire=parent.g_wire * 1.5)
+            for model in (parent, copy):
+                for n in sizes:
+                    for name in TABLED:
+                        # A fresh instance's first call evaluates the formula.
+                        want = getattr(replace(model), name)(n)
+                        for got in (getattr(model, name)(n),
+                                    getattr(model, name)(n)):
+                            assert type(got) is type(want)
+                            assert got.hex() == want.hex(), (model.name, name, n)

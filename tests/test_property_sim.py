@@ -11,8 +11,6 @@ Invariants that must hold for arbitrary schedules:
   merge.
 """
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st

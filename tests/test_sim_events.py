@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EventLifecycleError
-from repro.sim import AllOf, AnyOf, Event, Simulator
+from repro.sim import AllOf, AnyOf, Simulator
 
 
 @pytest.fixture

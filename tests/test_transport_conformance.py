@@ -21,10 +21,13 @@ from typing import Any, Generator
 import pytest
 
 from repro.cluster import Cluster
+from repro.cluster.link import Transmission
 from repro.errors import ConnectionRefused, NetworkError, SocketClosedError
 from repro.net import TCP_CLAN_LANE
 from repro.net.message import Message
 from repro.sockets import ProtocolAPI
+from repro.sockets.socketvia import _CreditFrame, _FragmentHeader
+from repro.tcp.packets import DataUnit
 from repro.transport import (
     EndpointSocket,
     StackBase,
@@ -32,6 +35,9 @@ from repro.transport import (
     temporary_transport,
     transport_names,
 )
+from repro.transport.base import ControlDatagram
+from repro.via.descriptors import Descriptor
+from repro.via.nic import _DataFrame
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +278,20 @@ class TestUdpSharedSurface:
             next(sock.sendto(64, ("node01", 9000)))
         with pytest.raises(NetworkError):
             next(sock.recvfrom())
+
+
+# ---------------------------------------------------------------------------
+# Wire records: every backend builds these once per frame, so they are
+# slotted and carry no per-instance dict.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record",
+    [Transmission, ControlDatagram, DataUnit, Descriptor, _DataFrame,
+     _FragmentHeader, _CreditFrame],
+    ids=lambda cls: cls.__name__,
+)
+def test_per_frame_records_are_slotted(record):
+    # ``__new__`` alone: an instance without its constructor's arguments.
+    assert not hasattr(record.__new__(record), "__dict__")
