@@ -333,7 +333,8 @@ class TailsResult:
     #: End-to-end query latencies (seconds), collector arrival order.
     latencies: List[float]
     elapsed: float
-    #: Conservation ledger: ``completed == dispatched - retracted``.
+    #: Conservation ledger: ``completed == dispatched - retracted``,
+    #: checked when the result is built.
     dispatched: int
     completed: int
     retracted: int
@@ -350,14 +351,18 @@ class TailsResult:
     sent_counts: List[int]
     won_counts: List[int]
 
+    def __post_init__(self) -> None:
+        if self.completed != self.dispatched - self.retracted:
+            raise ExperimentError(
+                f"conservation violated: completed={self.completed} != "
+                f"dispatched={self.dispatched} - "
+                f"retracted={self.retracted}"
+            )
+
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank percentile of the latency sample (seconds); the
         exact :func:`repro.sim.stats.percentile` the claims gate on."""
         return percentile(self.latencies, q)
-
-    @property
-    def conservation_ok(self) -> bool:
-        return self.completed == self.dispatched - self.retracted
 
 
 def run_tails(config: TailsConfig) -> TailsResult:

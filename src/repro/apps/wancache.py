@@ -119,7 +119,6 @@ class WanCacheConfig:
     storage_hosts: int = 4
     read_ns_per_byte: float = STORAGE_READ_NS_PER_BYTE
     compute_ns_per_byte: float = 0.0
-    stripe_timeout: Optional[float] = None
     seed: int = 13
 
     def __post_init__(self) -> None:
@@ -228,8 +227,7 @@ class _FrontendFilter(Filter):
                 missing = [b for b in block_ids if not cache.get(b)]
                 if missing:
                     fetched = yield from stream.read_blocks(
-                        missing, cfg.block_bytes,
-                        timeout=cfg.stripe_timeout)
+                        missing, cfg.block_bytes)
                     for block_id, _token in fetched:
                         cache.put(block_id)
             elif placement == "edge":
@@ -242,9 +240,7 @@ class _FrontendFilter(Filter):
                 for _ in block_ids:
                     yield from edge_sock.recv_message()
             else:  # storage-side cache: every block crosses the WAN
-                yield from stream.read_blocks(
-                    block_ids, cfg.block_bytes,
-                    timeout=cfg.stripe_timeout)
+                yield from stream.read_blocks(block_ids, cfg.block_bytes)
             for block_id in block_ids:
                 yield from ctx.write_new(
                     cfg.block_bytes,
@@ -306,8 +302,7 @@ def _edge_agent(shared: _Shared, lan_api: ProtocolAPI,
         _op, block_bytes, block_ids = msg.payload
         missing = [b for b in block_ids if not cache.get(b)]
         if missing:
-            fetched = yield from stream.read_blocks(
-                missing, block_bytes, timeout=cfg.stripe_timeout)
+            fetched = yield from stream.read_blocks(missing, block_bytes)
             for block_id, _token in fetched:
                 cache.put(block_id)
         for block_id in block_ids:
@@ -408,7 +403,6 @@ class WanBulkConfig:
     block_bytes: int = 256 * 1024
     storage_hosts: int = 4
     read_ns_per_byte: float = 0.0
-    stripe_timeout: Optional[float] = None
     seed: int = 13
 
 
@@ -450,8 +444,7 @@ def run_wan_bulk(config: WanBulkConfig,
             _stripe_addresses(config.stripe_width, config.storage_hosts))
         t0 = sim.now
         payloads = yield from stream.read_blocks(
-            list(range(config.n_blocks)), config.block_bytes,
-            timeout=config.stripe_timeout)
+            list(range(config.n_blocks)), config.block_bytes)
         out["elapsed"] = sim.now - t0
         out["digest"] = reassembly_digest(payloads)
         stream.close()

@@ -71,41 +71,12 @@ class ConnectionRefused(NetworkError):
     """The remote endpoint had no listening socket for the address."""
 
 
-class ConnectionReset(NetworkError):
-    """The peer closed the connection while data was still in flight."""
-
-
 class SocketClosedError(NetworkError):
     """Operation attempted on a socket that has been closed locally."""
 
 
 class ProtocolError(NetworkError):
     """Violation of a transport protocol invariant (credits, descriptors)."""
-
-
-class ConnectTimeout(NetworkError):
-    """A connection attempt exceeded its timeout (no retry configured)."""
-
-
-class ReceiveTimeout(NetworkError):
-    """``recv_message(timeout=...)`` expired before a message arrived."""
-
-
-class RetryExhausted(NetworkError):
-    """Every attempt of a :class:`repro.faults.retry.RetryPolicy` timed
-    out.  Carries the diagnosis the caller needs: ``attempts`` actually
-    made and the ``backoff`` delays waited between them."""
-
-    def __init__(self, message: str, attempts: int = 0,
-                 backoff: tuple = ()) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-        self.backoff = tuple(backoff)
-
-
-class StripedTransferError(NetworkError):
-    """Every stripe of a :class:`repro.transport.striped.StripedStream`
-    failed, so the logical read cannot complete."""
 
 
 class ViaError(ProtocolError):
@@ -118,8 +89,8 @@ class ViaError(ProtocolError):
 
 
 class FaultPlanError(ReproError):
-    """A fault plan or retry policy is malformed (bad rate, inverted
-    window, unknown preset)."""
+    """A fault plan is malformed (inverted window, restart before
+    crash, slowdown factor below 1, unknown preset)."""
 
 
 # ---------------------------------------------------------------------------

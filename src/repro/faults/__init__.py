@@ -5,8 +5,8 @@ Quick tour::
     from repro.faults import FaultPlan, LinkFault, HostFault, injecting
 
     plan = FaultPlan(
-        name="demo", seed=7,
-        links={"clan.*.down": LinkFault(flap_windows=((0.01, 0.02),))},
+        name="demo",
+        links={"clan.node09.down": LinkFault(flap_windows=((0.01, 0.02),))},
         hosts={"worker01": HostFault(crash_at=0.01, restart_at=0.03)},
     )
     with injecting(plan):
@@ -19,11 +19,10 @@ The subsystem has two halves:
   :class:`~repro.faults.injector.FaultInjector` into link delivery,
   stack receive paths, and host compute (``repro.faults.plan`` /
   ``repro.faults.injector``);
-* **resilience** — :class:`RetryPolicy` connect retry with exponential
-  backoff + jitter and connect/recv timeouts in the transports and
-  sockets, plus DataCutter's dead-host rescheduling and filter restart
-  (``repro.faults.retry``, ``repro.transport.base``,
-  ``repro.datacutter``).
+* **resilience** — DataCutter's dead-host rescheduling and filter
+  restart, and replicated dispatch (``repro.datacutter``).  The fabric
+  never loses a frame, so the transports carry no retry or timeout
+  paths.
 
 ``python -m repro faults list|describe`` exposes the named presets in
 ``repro.faults.presets``; the ``chaos`` bench suite measures Figure 8
@@ -40,7 +39,6 @@ from repro.faults.plan import (
     set_active_plan,
 )
 from repro.faults.presets import PRESETS, get_preset, preset_names
-from repro.faults.retry import RetryPolicy
 
 __all__ = [
     "FaultPlan",
@@ -48,7 +46,6 @@ __all__ = [
     "HostFault",
     "FaultInjector",
     "WindowedSlowdown",
-    "RetryPolicy",
     "active_plan",
     "set_active_plan",
     "injecting",

@@ -5,36 +5,28 @@ A :class:`FaultInjector` is built by
 ambient (see :func:`repro.faults.plan.injecting`), and attaches fault
 state as the topology grows:
 
-* **links** — every :class:`~repro.cluster.link.LinkDirection` whose
-  name matches a plan pattern gets a :class:`_LinkFaultState` consulted
-  at delivery time: loss and corruption discard the frame (the model of
-  a receive-side CRC drop — the wire time was already paid), reorder
-  swaps adjacent deliveries, flap windows buffer deliveries and release
-  them FIFO at the window end.  Unfaulted links keep ``faults = None``
-  and pay one attribute check.
+* **links** — every :class:`~repro.cluster.link.LinkDirection` the plan
+  names gets a :class:`_LinkFaultState` consulted at delivery time:
+  flap windows buffer deliveries and release them FIFO at the window
+  end.  Unfaulted links keep ``faults = None`` and pay one attribute
+  check.
 * **hosts** — a host with a crash window gets a
   :class:`_HostFaultState` its transport stacks consult on receive:
   while down, arriving items are *deferred* (the NIC queue outlives an
   OS blackout) and replayed in order at restart.  Slowdown windows wrap
   the host's heterogeneity model in :class:`WindowedSlowdown`.
 
-Every probabilistic decision draws from a per-link
-``random.Random(f"{seed}:{link}")`` stream — independent of scheduling
-interleavings across links and of executor parallelism — so a plan +
-seed fully determines the fault sequence (asserted by
-``tests/test_faults_determinism.py``).
+Every fault is a window of simulated time, so a plan alone fixes the
+fault sequence (asserted by ``tests/test_faults_determinism.py``).
 
-Trace points (the new ``faults`` layer): ``faults.drop``,
-``faults.corrupt``, ``faults.reorder``, ``faults.flap``,
-``faults.defer``, ``faults.crash``, ``faults.restart`` here;
-``faults.retry`` from the transport connect path and
-``faults.reschedule`` from DataCutter.
+Trace points (the ``faults`` layer): ``faults.flap``, ``faults.defer``,
+``faults.crash``, ``faults.restart`` here; ``faults.reschedule`` from
+DataCutter.
 """
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan, HostFault, LinkFault
 
@@ -69,67 +61,28 @@ class WindowedSlowdown:
 
 
 class _LinkFaultState:
-    """Per-link fault machinery, consulted by
+    """Per-link flap windows, consulted by
     :class:`~repro.cluster.link.LinkDirection` at delivery time."""
 
-    __slots__ = ("injector", "link", "cfg", "rng",
-                 "_flap_held", "_reorder_held")
+    __slots__ = ("injector", "link", "cfg", "_flap_held")
 
     def __init__(self, injector: "FaultInjector", link: "LinkDirection",
                  cfg: LinkFault) -> None:
         self.injector = injector
         self.link = link
         self.cfg = cfg
-        self.rng = random.Random(f"{injector.plan.seed}:link:{link.name}")
         #: window end -> transmissions held until that end.
         self._flap_held: Dict[float, List["Transmission"]] = {}
-        self._reorder_held: Any = None
 
     def deliver(self, tx: "Transmission") -> None:
-        """Fault-filtered delivery; the caller guarantees the link has a
-        delivery callback."""
-        cfg = self.cfg
-        link = self.link
-        injector = self.injector
-        tracer = injector.tracer
-        if cfg.flap_windows:
-            now = link.sim.now
-            for start, end in cfg.flap_windows:
-                if start <= now < end:
-                    self._hold(end, tx)
-                    return
-        if cfg.loss_rate and self.rng.random() < cfg.loss_rate:
-            injector.stats["dropped"] += 1
-            if tracer.enabled:
-                tracer.emit("faults.drop", link=link.name, size=tx.size,
-                            dst=tx.dst, tag=tx.tag)
-            return
-        if cfg.corrupt_rate and self.rng.random() < cfg.corrupt_rate:
-            # Corruption is modeled as a receive-side CRC discard: the
-            # frame crossed the wire (time already charged) but never
-            # reaches the demultiplexer.
-            injector.stats["corrupted"] += 1
-            if tracer.enabled:
-                tracer.emit("faults.corrupt", link=link.name, size=tx.size,
-                            dst=tx.dst, tag=tx.tag)
-            return
-        if cfg.reorder_rate:
-            held = self._reorder_held
-            if held is not None:
-                # Deliver the newcomer first, then the held frame: one
-                # adjacent swap per reorder decision.
-                self._reorder_held = None
-                link._deliver(tx)
-                link._deliver(held)
+        """Window-filtered delivery; the caller guarantees the link has
+        a delivery callback."""
+        now = self.link.sim.now
+        for start, end in self.cfg.flap_windows:
+            if start <= now < end:
+                self._hold(end, tx)
                 return
-            if self.rng.random() < cfg.reorder_rate:
-                self._reorder_held = tx
-                injector.stats["reordered"] += 1
-                if tracer.enabled:
-                    tracer.emit("faults.reorder", link=link.name,
-                                size=tx.size, dst=tx.dst, tag=tx.tag)
-                return
-        link._deliver(tx)
+        self.link._deliver(tx)
 
     def _hold(self, end: float, tx: "Transmission") -> None:
         held = self._flap_held.get(end)
@@ -146,7 +99,7 @@ class _LinkFaultState:
 
     def _release(self, end: float) -> None:
         for tx in self._flap_held.pop(end, ()):
-            self.deliver(tx)  # re-filter: loss/reorder still apply
+            self.deliver(tx)  # a window opening at this end holds it again
 
 
 class _HostFaultState:
@@ -199,27 +152,26 @@ class FaultInjector:
         self._restart_listeners: Dict[str, List[Callable[[], None]]] = {}
         self._host_states: Dict[str, _HostFaultState] = {}
         self.stats: Dict[str, int] = {
-            "dropped": 0, "corrupted": 0, "reordered": 0, "flapped": 0,
-            "deferred": 0, "crashes": 0, "restarts": 0,
+            "flapped": 0, "deferred": 0, "crashes": 0, "restarts": 0,
         }
 
     # -- topology attachment (called by Cluster) -----------------------------
 
     def attach_port(self, switch: "Switch", port: "Port") -> None:
-        """Install link fault state on the port's directions that match
-        the plan (delivery-side hooks; directions without a delivery
+        """Install link fault state on the port's directions the plan
+        names (delivery-side hooks; directions without a delivery
         callback never consult theirs)."""
         for link in (port.downlink, port.uplink):
             if link is None or link.faults is not None:
                 continue
-            cfg = self.plan.link_fault_for(link.name)
+            cfg = self.plan.links.get(link.name)
             if cfg is not None and not cfg.is_trivial:
                 link.faults = _LinkFaultState(self, link, cfg)
 
     def attach_host(self, host: "Host") -> None:
         """Install host fault state: slowdown windows wrap the
         heterogeneity model now; crash/restart events go on the heap."""
-        cfg: HostFault = self.plan.host_fault_for(host.name)
+        cfg: Optional[HostFault] = self.plan.hosts.get(host.name)
         if cfg is None or cfg.is_trivial:
             return
         if cfg.slowdown_windows:

@@ -1,10 +1,11 @@
 """Declarative fault plans and the ambient-plan context.
 
-A :class:`FaultPlan` describes *what* goes wrong in a run — per-link
-loss/corruption/reorder rates, link flap (blackout) windows, host
-crash/restart events, transient host slowdowns — separately from *how*
-the simulation reacts (``repro.faults.injector`` installs the hooks;
-the transports and DataCutter carry the resilience mechanisms).
+A :class:`FaultPlan` describes *what* goes wrong in a run — link flap
+(blackout) windows, host crash/restart events, transient host
+slowdowns — separately from *how* the simulation reacts
+(``repro.faults.injector`` installs the hooks; DataCutter carries the
+resilience mechanisms).  The fabric itself never drops, corrupts or
+reorders a frame: every fault class delays, stops or slows work.
 
 Plans are pure data: JSON round-trippable (:meth:`FaultPlan.to_dict` /
 :meth:`FaultPlan.from_dict`), hashable into a canonical
@@ -23,7 +24,6 @@ bit-identical to a tree without this module.
 
 from __future__ import annotations
 
-import fnmatch
 import hashlib
 import json
 from contextlib import contextmanager
@@ -48,26 +48,17 @@ def _windows(raw) -> Tuple[Tuple[float, ...], ...]:
 
 @dataclass(frozen=True)
 class LinkFault:
-    """Fault behavior of one link direction (or a glob of them).
+    """Fault behavior of one link direction.
 
-    Rates are per-delivery probabilities drawn from the plan's
-    deterministic per-link RNG stream; ``flap_windows`` are absolute
-    simulated-time ``(start, end)`` intervals during which the link
-    buffers deliveries and releases them FIFO at ``end`` (a blackout
-    with receiver-side buffering — nothing is lost, so flapped runs
-    always terminate).
+    ``flap_windows`` are absolute simulated-time ``(start, end)``
+    intervals during which the link buffers deliveries and releases
+    them FIFO at ``end`` (a blackout with receiver-side buffering —
+    nothing is lost, so flapped runs always terminate).
     """
 
-    loss_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    reorder_rate: float = 0.0
     flap_windows: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for label in ("loss_rate", "corrupt_rate", "reorder_rate"):
-            rate = getattr(self, label)
-            if not 0.0 <= rate <= 1.0:
-                raise FaultPlanError(f"{label} must be in [0, 1], got {rate}")
         object.__setattr__(self, "flap_windows", _windows(self.flap_windows))
         for start, end in self.flap_windows:
             if not 0.0 <= start < end:
@@ -76,25 +67,14 @@ class LinkFault:
 
     @property
     def is_trivial(self) -> bool:
-        return (self.loss_rate == 0.0 and self.corrupt_rate == 0.0
-                and self.reorder_rate == 0.0 and not self.flap_windows)
+        return not self.flap_windows
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "loss_rate": self.loss_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "reorder_rate": self.reorder_rate,
-            "flap_windows": [list(w) for w in self.flap_windows],
-        }
+        return {"flap_windows": [list(w) for w in self.flap_windows]}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "LinkFault":
-        return cls(
-            loss_rate=float(d.get("loss_rate", 0.0)),
-            corrupt_rate=float(d.get("corrupt_rate", 0.0)),
-            reorder_rate=float(d.get("reorder_rate", 0.0)),
-            flap_windows=_windows(d.get("flap_windows", ())),
-        )
+        return cls(flap_windows=_windows(d.get("flap_windows", ())))
 
 
 @dataclass(frozen=True)
@@ -167,23 +147,16 @@ class HostFault:
 class FaultPlan:
     """A complete, deterministic fault schedule for one run.
 
-    ``links`` maps link-direction name patterns to :class:`LinkFault`.
+    ``links`` maps exact link-direction names to :class:`LinkFault`.
     Names follow ``{fabric}.{host}.{up|down}`` (e.g.
-    ``clan.node09.down``); patterns may use :mod:`fnmatch` globs
-    (``clan.*.down`` faults every receive side on the cLAN fabric).
-    Faults act at the *delivery* (receive) end of a direction — where a
-    real NIC's CRC check discards frames — so ``.down`` patterns are
-    the ones that matter on switch fabrics.  ``hosts`` maps exact host
-    names to :class:`HostFault`.
-
-    ``seed`` roots every probabilistic draw: each faulted link derives
-    an independent RNG stream from ``(seed, link name)``, so outcomes
-    do not depend on which other links are faulted or on executor
-    parallelism.
+    ``clan.node09.down``).  Faults act at the *delivery* (receive) end
+    of a direction, so ``.down`` names are the ones that matter on
+    switch fabrics.  ``hosts`` maps exact host names to
+    :class:`HostFault`.  Every fault is a window of simulated time, so
+    the plan alone fixes the fault sequence.
     """
 
     name: str = "unnamed"
-    seed: int = 0
     links: Dict[str, LinkFault] = field(default_factory=dict)
     hosts: Dict[str, HostFault] = field(default_factory=dict)
 
@@ -197,31 +170,11 @@ class FaultPlan:
         return (all(lf.is_trivial for lf in self.links.values())
                 and all(hf.is_trivial for hf in self.hosts.values()))
 
-    # -- matching ------------------------------------------------------------
-
-    def link_fault_for(self, link_name: str) -> Optional[LinkFault]:
-        """The fault spec matching *link_name*, or None.
-
-        Exact entries win over globs; among globs the lexicographically
-        first matching pattern wins (deterministic under dict order).
-        """
-        exact = self.links.get(link_name)
-        if exact is not None:
-            return exact
-        for pattern in sorted(self.links):
-            if fnmatch.fnmatchcase(link_name, pattern):
-                return self.links[pattern]
-        return None
-
-    def host_fault_for(self, host_name: str) -> Optional[HostFault]:
-        return self.hosts.get(host_name)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
-            "seed": self.seed,
             "links": {k: v.to_dict() for k, v in sorted(self.links.items())},
             "hosts": {k: v.to_dict() for k, v in sorted(self.hosts.items())},
         }
@@ -230,7 +183,6 @@ class FaultPlan:
     def from_dict(cls, d: Dict[str, Any]) -> "FaultPlan":
         return cls(
             name=str(d.get("name", "unnamed")),
-            seed=int(d.get("seed", 0)),
             links={k: LinkFault.from_dict(v)
                    for k, v in d.get("links", {}).items()},
             hosts={k: HostFault.from_dict(v)
@@ -238,7 +190,7 @@ class FaultPlan:
         )
 
     def fingerprint(self) -> str:
-        """SHA-256 over the plan's *behavioral* content (seed, links,
+        """SHA-256 over the plan's *behavioral* content (links and
         hosts — the display name is excluded): the value threaded into
         the bench result-cache key so faulted results can never be
         confused with fault-free ones."""
@@ -249,25 +201,18 @@ class FaultPlan:
 
     def describe(self) -> str:
         """Human-readable multi-line summary (CLI ``faults describe``)."""
-        lines = [f"fault plan {self.name!r}  (seed={self.seed}, "
-                 f"fingerprint={self.fingerprint()[:12]})"]
+        lines = [f"fault plan {self.name!r}  "
+                 f"(fingerprint={self.fingerprint()[:12]})"]
         if self.is_empty:
             lines.append("  empty: installs nothing")
             return "\n".join(lines)
-        for pattern in sorted(self.links):
-            lf = self.links[pattern]
+        for link in sorted(self.links):
+            lf = self.links[link]
             if lf.is_trivial:
                 continue
-            parts = []
-            if lf.loss_rate:
-                parts.append(f"loss={lf.loss_rate:g}")
-            if lf.corrupt_rate:
-                parts.append(f"corrupt={lf.corrupt_rate:g}")
-            if lf.reorder_rate:
-                parts.append(f"reorder={lf.reorder_rate:g}")
-            for start, end in lf.flap_windows:
-                parts.append(f"flap[{start:g}s..{end:g}s]")
-            lines.append(f"  link {pattern}: " + ", ".join(parts))
+            parts = [f"flap[{start:g}s..{end:g}s]"
+                     for start, end in lf.flap_windows]
+            lines.append(f"  link {link}: " + ", ".join(parts))
         for host in sorted(self.hosts):
             hf = self.hosts[host]
             if hf.is_trivial:

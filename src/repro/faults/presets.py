@@ -35,7 +35,6 @@ NONE = FaultPlan.empty()
 #: around it).  Calibrated effect: 20-35% update-rate loss per cell.
 CHAOS_FIG8 = FaultPlan(
     name="chaos-fig8",
-    seed=8,
     links={
         "clan.node09.down": LinkFault(
             flap_windows=tuple(
@@ -55,7 +54,6 @@ CHAOS_FIG8 = FaultPlan(
 #: quick run (~60 ms simulated).
 CHAOS_FIG11 = FaultPlan(
     name="chaos-fig11",
-    seed=11,
     hosts={
         "worker01": HostFault(crash_at=0.010, restart_at=0.030),
     },
@@ -66,7 +64,6 @@ CHAOS_FIG11 = FaultPlan(
 #: paper's dynamically slow node.
 BROWNOUT = FaultPlan(
     name="brownout",
-    seed=5,
     hosts={
         "worker01": HostFault(
             slowdown_windows=((0.005, 0.015, 8.0), (0.030, 0.040, 8.0)),
@@ -89,7 +86,6 @@ BROWNOUT = FaultPlan(
 #: copy — the tails suite's p999 claim measures exactly that rescue.
 STRAGGLER = FaultPlan(
     name="straggler",
-    seed=17,
     links={
         "clan.tworker02.down": LinkFault(
             flap_windows=tuple(
@@ -112,7 +108,6 @@ STRAGGLER = FaultPlan(
 #: delivery stragglers when exploring replication policies by hand.
 STRAGGLER_SLOW = FaultPlan(
     name="straggler-slow",
-    seed=19,
     hosts={
         "tworker01": HostFault(
             slowdown_windows=tuple(
@@ -123,18 +118,6 @@ STRAGGLER_SLOW = FaultPlan(
     },
 )
 
-#: Example lossy-control plan (not benched): 30% loss on one host's
-#: receive side — pair with a transport ``RetryPolicy`` so connection
-#: handshakes survive via retransmission.  Dropping kernel-TCP *data*
-#: is not modeled (the simulated stack has no data retransmission), so
-#: loss plans belong on handshake/control traffic.
-LOSSY_CONNECT = FaultPlan(
-    name="lossy-connect",
-    seed=3,
-    links={"clan.node01.down": LinkFault(loss_rate=0.3)},
-)
-
-
 PRESETS: Dict[str, FaultPlan] = {
     plan.name: plan
     for plan in (
@@ -144,7 +127,6 @@ PRESETS: Dict[str, FaultPlan] = {
         BROWNOUT,
         STRAGGLER,
         STRAGGLER_SLOW,
-        LOSSY_CONNECT,
     )
 }
 

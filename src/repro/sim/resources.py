@@ -254,13 +254,6 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a pending get (e.g. after a bounded wait timed out)."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
-
     # -- internals --------------------------------------------------------------------
 
     def _settle(self) -> None:

@@ -12,9 +12,9 @@ catalog*, see docs/API.md) cover every layer: ``tcp.segment`` /
 ``tcp.kernel`` / ``udp.kernel`` (kernel path), ``via.doorbell`` /
 ``via.credit`` (user-level path), ``sockets.send`` / ``sockets.recv``
 (the unified API), ``datacutter.uow`` (runtime), ``cluster.link``
-(every wire transmission), and the ``faults.*`` family (drops, flaps,
-crashes, retries — emitted only when a fault plan is installed; see
-``repro.faults``).
+(every wire transmission), and the ``faults.*`` family (flaps,
+deferrals, crashes, restarts, rescheduling — emitted only when a fault
+plan is installed; see ``repro.faults``).
 
 Components pick their tracer up from the :class:`~repro.cluster.topology.
 Cluster` that builds them.  Code that constructs its own clusters (the

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, Tuple
 
-from repro.errors import ReceiveTimeout, SocketClosedError
+from repro.errors import SocketClosedError
 from repro.net.message import Message
 from repro.sim import Event, Store
 from repro.sim.trace import NULL_TRACER
@@ -97,34 +97,10 @@ class BaseSocket:
         self.bytes_sent += size
         return msg
 
-    def recv_message(
-        self, timeout: Optional[float] = None
-    ) -> Generator[Event, Any, Message]:
-        """Receive the next message; blocks until one is available.
-
-        With *timeout* (seconds of simulated time) the wait is bounded:
-        if no message arrives in time the pending receive is withdrawn
-        (no message is consumed or lost) and
-        :class:`~repro.errors.ReceiveTimeout` is raised — the socket
-        stays usable, like ``SO_RCVTIMEO``.
-        """
+    def recv_message(self) -> Generator[Event, Any, Message]:
+        """Receive the next message; blocks until one is available."""
         self._check_open()
-        if timeout is None:
-            msg = yield self._rx_messages.get()
-        else:
-            get_ev = self._rx_messages.get()
-            timer = self.sim.timeout(timeout)
-            yield self.sim.any_of([get_ev, timer])
-            if not get_ev.triggered:
-                self._rx_messages.cancel_get(get_ev)
-                raise ReceiveTimeout(
-                    f"no message within {timeout:g}s on {self._proto} socket"
-                )
-            if not timer.processed:
-                # A Timeout is triggered from construction, so only
-                # ``processed`` says whether it already fired.
-                timer.cancel()
-            msg = get_ev.value
+        msg = yield self._rx_messages.get()
         if msg is None:
             # None is the in-band end-of-stream marker posted by close.
             raise SocketClosedError("peer closed the connection")

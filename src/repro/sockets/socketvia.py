@@ -383,9 +383,8 @@ class SocketViaSocket(BaseSocket):
                         f"{hdr.total_size}"
                     )
                 self._rx_got = 0
-                msg = Message(hdr.total_size, payload, hdr.kind, hdr.sent_at)
-                msg.msg_id = hdr.msg_id
-                self._deliver(msg)
+                self._deliver(Message(hdr.total_size, payload, hdr.kind,
+                                      hdr.sent_at, hdr.msg_id))
 
     # -- close -----------------------------------------------------------------------
 

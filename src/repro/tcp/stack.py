@@ -133,8 +133,10 @@ class TcpSocket(EndpointSocket):
         self.stack._return_window(self.peer_host, self.peer_ep, unit.wnd)
         if unit.is_last:
             if self._rx_got != unit.total_size:
-                # No data retransmission is modeled: a lost, corrupted
-                # or reordered unit leaves the message short or long.
+                # The fabric delivers every unit in order, so this
+                # guards an invariant: no data retransmission is
+                # modeled, and a missing unit would leave the message
+                # short.
                 raise ProtocolError(
                     f"TCP reassembly mismatch at {self.stack.host.name}"
                     f".ep{self.ep_id} (from {self.peer_host}.ep{self.peer_ep}),"
@@ -142,10 +144,8 @@ class TcpSocket(EndpointSocket):
                     f"expected {unit.total_size}"
                 )
             self._rx_got = 0
-            msg = Message(unit.total_size, unit.payload, unit.kind,
-                          unit.sent_at)
-            msg.msg_id = unit.msg_id
-            self._deliver(msg)
+            self._deliver(Message(unit.total_size, unit.payload, unit.kind,
+                                  unit.sent_at, unit.msg_id))
 
 
 class TcpStack(StackBase):
@@ -161,13 +161,10 @@ class TcpStack(StackBase):
         model: ProtocolCostModel = TCP_CLAN_LANE,
         window: int = 256 * 1024,
         max_unit: int = 64 * 1024,
-        retry=None,
-        connect_timeout: Optional[float] = None,
     ) -> None:
         self.window = int(window)
         self.max_unit = int(max_unit)
-        super().__init__(host, switch, model, retry=retry,
-                         connect_timeout=connect_timeout)
+        super().__init__(host, switch, model)
         #: The serialized kernel network path of this host.
         self.kernel = Resource(self.sim, 1, name=f"{host.name}.tcp.kernel")
 

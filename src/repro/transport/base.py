@@ -40,14 +40,7 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.cluster.host import Host
 from repro.cluster.link import Switch, Transmission
-from repro.errors import (
-    AddressError,
-    ConnectionRefused,
-    ConnectTimeout,
-    NetworkError,
-    RetryExhausted,
-)
-from repro.faults.retry import RetryPolicy
+from repro.errors import AddressError, ConnectionRefused, NetworkError
 from repro.net.demux import demux_for
 from repro.net.model import ProtocolCostModel
 from repro.sim import Store
@@ -200,8 +193,6 @@ class StackBase:
         switch: Switch,
         model: ProtocolCostModel,
         consume_port: bool = True,
-        retry: Optional[RetryPolicy] = None,
-        connect_timeout: Optional[float] = None,
     ) -> None:
         self.host = host
         self.sim = host.sim
@@ -210,15 +201,6 @@ class StackBase:
         self.tracer = getattr(host, "tracer", NULL_TRACER)
         #: Demux tag stamped on outgoing transmissions.
         self.wire_tag = self.tag
-        #: Connect resilience (see repro.faults.retry): a retry policy
-        #: bounds each attempt with its ``attempt_timeout`` and
-        #: retransmits with backoff; ``connect_timeout`` alone bounds
-        #: the single attempt.  Only stacks that connect through
-        #: :meth:`_connect_endpoint` (TCP) read them, so SocketVIA and
-        #: UDP do not accept either.  Both default off — the paper's
-        #: fabric is lossless, so fault-free runs never arm a timer.
-        self.retry = retry
-        self.connect_timeout = connect_timeout
         #: Crash-blackout state of the owning host (None = fault-free;
         #: see ``repro.faults.injector._HostFaultState``).  Installed
         #: before stacks are built, so reading it once here keeps the
@@ -230,11 +212,6 @@ class StackBase:
         self._listeners: Dict[int, Any] = {}
         #: Endpoint registry: connected sockets keyed by integer id.
         self._endpoints: Dict[int, BaseSocket] = {}
-        #: (client host, client ep) -> accepted server socket.  Makes
-        #: the passive open idempotent: a retransmitted ConnectRequest
-        #: (the client timed out waiting for a lost reply) re-sends the
-        #: original reply instead of accepting a second socket.
-        self._accepted: Dict[Any, EndpointSocket] = {}
         self._ep_counter = itertools.count(1)
         self._port_counter = itertools.count(self.EPHEMERAL_BASE)
         #: Serialized receive queue drained by the stack's rx daemon.
@@ -382,71 +359,25 @@ class StackBase:
     def _connect_endpoint(
         self, sock: EndpointSocket, address: Address
     ) -> Generator:
-        """Shared active-open flow: request, block, raise on refusal.
-
-        With a ``retry`` policy (or ``connect_timeout``) configured the
-        wait is bounded; a timed-out attempt retransmits the same
-        ConnectRequest after the policy's backoff delay.  The server
-        side is idempotent (``self._accepted``), so a retransmission
-        racing a delayed reply still converges on one connection: both
-        replies name the same server endpoint.  On exhaustion the
-        caller gets :class:`~repro.errors.RetryExhausted` with the
-        attempt count and the backoff schedule actually waited (or
-        :class:`~repro.errors.ConnectTimeout` when no retries were
-        configured).
-        """
+        """Shared active-open flow: one request, one wait for the reply,
+        :class:`~repro.errors.ConnectionRefused` on refusal.  The fabric
+        never loses the request or the reply (a flap window or a crash
+        of the server host only delays them), so the wait is
+        unbounded."""
         host_name, port = address
         sock.peer_host = host_name
         sock.local_address = (self.host.name, self._ephemeral_port())
         sock.peer_address = (host_name, port)
-        policy = self.retry
-        timeout = self.connect_timeout
-        if timeout is None and policy is not None:
-            timeout = policy.attempt_timeout
-        max_attempts = policy.max_attempts if policy is not None else 1
-        schedule = (policy.delays(f"{self.host.name}->{host_name}:{port}")
-                    if policy is not None else [])
-        attempts = 0
-        while True:
-            attempts += 1
-            handshake = sock._handshake = self.sim.event()
-            yield from self._charge_send(None)
-            self._transmit(
-                host_name, CTRL_BYTES,
-                ConnectRequest(self.host.name, sock.ep_id, port),
-            )
-            if timeout is None:
-                ok = yield handshake
-            else:
-                timer = self.sim.timeout(timeout)
-                yield self.sim.any_of([handshake, timer])
-                if not handshake.triggered:
-                    # Attempt timed out (request or reply lost).
-                    sock._handshake = None
-                    if attempts >= max_attempts:
-                        if policy is None:
-                            raise ConnectTimeout(
-                                f"connect to {address} timed out "
-                                f"after {timeout:g}s")
-                        raise RetryExhausted(
-                            f"connect to {address} failed after "
-                            f"{attempts} attempt(s)",
-                            attempts=attempts, backoff=schedule)
-                    delay = schedule[attempts - 1]
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            "faults.retry", proto=self.tag,
-                            dst=host_name, port=port,
-                            attempt=attempts, delay=delay)
-                    yield self.sim.timeout(delay)
-                    continue
-                if not timer.processed:
-                    timer.cancel()
-                ok = handshake.value
-            sock._handshake = None
-            if not ok:
-                raise ConnectionRefused(f"no listener at {address}")
-            return
+        handshake = sock._handshake = self.sim.event()
+        yield from self._charge_send(None)
+        self._transmit(
+            host_name, CTRL_BYTES,
+            ConnectRequest(self.host.name, sock.ep_id, port),
+        )
+        ok = yield handshake
+        sock._handshake = None
+        if not ok:
+            raise ConnectionRefused(f"no listener at {address}")
 
     def _handle_connect_request(self, pkt: ConnectRequest) -> None:
         listener = self._listeners.get(pkt.dst_port)
@@ -460,14 +391,8 @@ class StackBase:
                              src_ep=0, accepted=False),
             )
             return
-        key = (pkt.src_host, pkt.src_ep)
-        server = self._accepted.get(key)
-        if server is None or server.closed:
-            server = self._accept_socket(pkt)
-            self._accepted[key] = server
-            listener._enqueue(server)
-        # Duplicate requests (client retransmissions) skip the accept
-        # and just repeat the reply — the re-handshake is idempotent.
+        server = self._accept_socket(pkt)
+        listener._enqueue(server)
         self._transmit(
             pkt.src_host, CTRL_BYTES,
             ConnectReply(dst_ep=pkt.src_ep, src_host=self.host.name,

@@ -13,14 +13,11 @@ mechanism over any registered transport:
   order (per-socket FIFO), so the receiver reconstructs the position
   order exactly; the reassembled payload sequence is bit-identical to
   the ``k=1`` path at every width (gated by the wancache suite's
-  reassembly claim and ``tests/test_striped_transport.py``);
-* **deterministic stripe failover** — when a stripe member dies
-  mid-transfer (e.g. a :class:`~repro.faults.HostFault` crash of its
-  storage host), the receive times out and the stripe's unreceived
-  blocks are re-requested round-robin over the surviving stripes, in
-  stripe-index order.  Duplicates that were already in flight from the
-  dead stripe are never read (the dead socket is abandoned), so the
-  result is still exact.
+  reassembly claim and ``tests/test_striped_transport.py``).  A
+  stripe whose storage host crashes mid-transfer (a
+  :class:`~repro.faults.HostFault` with a restart) only stalls: its
+  host defers the requests and replays them at restart, so the read
+  completes later with the same sequence.
 
 The server half is :func:`stripe_server`: an accept-loop process that
 answers ``read`` requests with one block-sized message per requested
@@ -30,16 +27,9 @@ id, charging an optional storage-read cost per block.
 from __future__ import annotations
 
 import hashlib
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence, Tuple
 
-from repro.errors import (
-    ConnectionReset,
-    ProtocolError,
-    ReceiveTimeout,
-    RetryExhausted,
-    SocketClosedError,
-    StripedTransferError,
-)
+from repro.errors import ProtocolError, SocketClosedError
 
 __all__ = [
     "REQUEST_FRAME_BYTES",
@@ -54,10 +44,6 @@ __all__ = [
 REQUEST_FRAME_BYTES = 64
 #: ... plus this much per requested block id.
 PER_BLOCK_REQUEST_BYTES = 8
-
-#: Receive errors that mean "this stripe is gone" and trigger failover.
-_STRIPE_DEAD = (ReceiveTimeout, SocketClosedError, ConnectionReset,
-                RetryExhausted)
 
 
 def block_token(block_id) -> str:
@@ -118,92 +104,37 @@ class StripedStream:
         )
 
     def read_blocks(self, block_ids: Sequence, block_bytes: int,
-                    timeout: Optional[float] = None) -> Generator:
+                    ) -> Generator:
         """Fetch *block_ids* striped; returns ``[(id, token), ...]`` in
-        request order (generator; run in a process).
-
-        With a *timeout*, a stripe whose next block does not arrive in
-        time is declared dead and its outstanding blocks fail over to
-        the surviving stripes.  Pick the timeout above the worst-case
-        healthy inter-block gap — it is a liveness bound, not a
-        latency target.  Without one, a dead stripe blocks forever
-        (matching a single-stream read of a dead server).
-        """
+        request order (generator; run in a process)."""
         n = len(block_ids)
         if n == 0:
             return []
         width = self.width
         # queues[s]: positions stripe s will deliver, in delivery order.
-        queues: List[List[int]] = [[] for _ in range(width)]
-        owner: List[int] = [0] * n
-        for pos in range(n):
-            stripe = pos % width
-            queues[stripe].append(pos)
-            owner[pos] = stripe
-        cursors = [0] * width
-        alive = [True] * width
+        queues: List[List[int]] = [list(range(s, n, width))
+                                   for s in range(width)]
         for stripe in range(width):
             if queues[stripe]:
                 yield from self._request(
                     stripe, [block_ids[p] for p in queues[stripe]],
                     block_bytes)
-        results: List[Optional[Tuple[object, str]]] = [None] * n
-        done = 0
-        next_pos = 0
-        while done < n:
-            while results[next_pos] is not None:
-                next_pos += 1
-            stripe = owner[next_pos]
-            try:
-                msg = yield from self.sockets[stripe].recv_message(
-                    timeout=timeout)
-            except _STRIPE_DEAD as exc:
-                yield from self._fail_over(stripe, block_ids, block_bytes,
-                                           queues, cursors, owner, alive,
-                                           results, exc)
-                continue
-            pos = queues[stripe][cursors[stripe]]
-            cursors[stripe] += 1
+        results: List[Tuple[object, str]] = []
+        for pos in range(n):
+            stripe = pos % width
+            msg = yield from self.sockets[stripe].recv_message()
             delivered_id = msg.payload[0]
             if delivered_id != block_ids[pos]:
                 raise ProtocolError(
                     f"stripe {stripe} delivered block {delivered_id!r} "
                     f"where {block_ids[pos]!r} was expected")
-            results[pos] = (delivered_id, msg.payload[1])
-            done += 1
-        return list(results)
-
-    def _fail_over(self, stripe: int, block_ids, block_bytes, queues,
-                   cursors, owner, alive, results, exc) -> Generator:
-        """Redistribute a dead stripe's unreceived blocks round-robin
-        over the survivors (stripe-index order — deterministic)."""
-        alive[stripe] = False
-        orphans = [p for p in queues[stripe][cursors[stripe]:]
-                   if results[p] is None]
-        del queues[stripe][cursors[stripe]:]
-        survivors = [s for s in range(self.width) if alive[s]]
-        if not survivors:
-            raise StripedTransferError(
-                f"all {self.width} stripe(s) failed; last error on "
-                f"stripe {stripe}: {exc}") from exc
-        reassigned: List[List[int]] = [[] for _ in survivors]
-        for i, pos in enumerate(orphans):
-            target = survivors[i % len(survivors)]
-            queues[target].append(pos)
-            owner[pos] = target
-            reassigned[i % len(survivors)].append(pos)
-        for target, positions in zip(survivors, reassigned):
-            if positions:
-                yield from self._request(
-                    target, [block_ids[p] for p in positions], block_bytes)
+            results.append((delivered_id, msg.payload[1]))
+        return results
 
     def close(self) -> None:
-        """Close every stripe (dead ones included; close is idempotent)."""
+        """Close every stripe."""
         for sock in self.sockets:
-            try:
-                sock.close()
-            except SocketClosedError:  # pragma: no cover - already down
-                pass
+            sock.close()
 
 
 def stripe_server(api, host, port: int,
@@ -231,7 +162,7 @@ def stripe_server(api, host, port: int,
         while True:
             try:
                 msg = yield from sock.recv_message()
-            except (SocketClosedError, ConnectionReset):
+            except SocketClosedError:
                 return
             op, block_bytes, ids = msg.payload
             if op != "read":  # pragma: no cover - future ops

@@ -221,7 +221,7 @@ class TestCacheKeys:
 #: A non-default value for every RunContext field; a field added without
 #: one fails ``test_every_field_has_a_probe_value``.
 NON_DEFAULT = {
-    "faults": FaultPlan(name="probe", seed=3,
+    "faults": FaultPlan(name="probe",
                         hosts={"nope99": HostFault(crash_at=1.0,
                                                    restart_at=2.0)}),
 }

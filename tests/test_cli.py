@@ -158,6 +158,30 @@ class TestFigureExecution:
         assert "tlc" in capsys.readouterr().out
 
 
+class TestFaultsCommand:
+    def test_list_names_exactly_the_presets(self, capsys):
+        assert main(["faults", "list"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.startswith("  ")]
+        assert rows == ["brownout", "chaos-fig11", "chaos-fig8", "none",
+                        "straggler", "straggler-slow"]
+        assert "seed=" not in out
+
+    def test_describe_prints_flap_windows_and_slowdown(self, capsys):
+        assert main(["faults", "describe", "chaos-fig8"]) == 0
+        out = capsys.readouterr().out
+        assert ("link clan.node09.down: flap[0s..0.03s], "
+                "flap[0.1s..0.13s]") in out
+        assert out.count("flap[") == 30
+        assert "host node04: slowdown x8 [0s..3s]" in out
+        assert "seed=" not in out
+
+    def test_unknown_plan_exits_1(self, capsys):
+        assert main(["faults", "describe", "no-such-plan"]) == 1
+        assert "unknown fault plan 'no-such-plan'" in capsys.readouterr().out
+
+
 class TestServeCommand:
     def test_run_without_a_completed_query_reports_counts(self, capsys):
         """A horizon too short for any arrival has no latency or

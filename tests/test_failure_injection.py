@@ -3,9 +3,8 @@
 A production runtime spends most of its subtlety on the unhappy paths;
 these tests pin them down: receivers vanishing mid-stream, listeners
 closing with connects queued, filters crashing mid-UOW, and — via
-``repro.faults`` — lossy links exhausting retry budgets, flapping links
-exercising the idempotent re-handshake, and host crashes rerouted
-around by demand-driven scheduling.
+``repro.faults`` — a flapping link delaying a handshake and host
+crashes rerouted around by demand-driven scheduling.
 """
 
 import ast
@@ -17,14 +16,8 @@ import repro
 from repro.apps.loadbalance import LoadBalanceConfig, run_loadbalance
 from repro.cluster import Cluster, StaticSlowdown
 from repro.datacutter import DataCutterRuntime, Filter, FilterGroup
-from repro.errors import (
-    ConnectionRefused,
-    ConnectTimeout,
-    ProtocolError,
-    RetryExhausted,
-    SocketClosedError,
-)
-from repro.faults import FaultPlan, HostFault, LinkFault, RetryPolicy, injecting
+from repro.errors import ConnectionRefused, ProtocolError, SocketClosedError
+from repro.faults import FaultPlan, HostFault, LinkFault, injecting
 from repro.sockets import ProtocolAPI
 
 
@@ -212,74 +205,20 @@ class TestExtremeInputs:
 
 
 class TestConnectRetry:
-    """Connection establishment against injected link faults."""
-
-    def _blackhole(self):
-        # Everything addressed *to* node01 is silently dropped; the
-        # reverse direction is healthy, so only the handshake request
-        # leg is lossy — the worst case for connect().
-        return FaultPlan(
-            name="blackhole-node01", seed=5,
-            links={"clan.node01.down": LinkFault(loss_rate=1.0)})
-
-    def test_retry_exhausted_records_attempts_and_backoff(self):
-        cluster = _faulty_cluster(self._blackhole())
-        policy = RetryPolicy(max_attempts=4, attempt_timeout=0.002,
-                             base_delay=0.001, multiplier=2.0,
-                             jitter=0.25, seed=7)
-        api = ProtocolAPI(cluster, "tcp", retry=policy)
-        sim = cluster.sim
-        api.listen("node01", 80)  # listener exists; the network eats requests
-
-        def client():
-            sock = api.socket("node00")
-            try:
-                yield from sock.connect(("node01", 80))
-            except RetryExhausted as exc:
-                return exc
-
-        exc = sim.run(sim.process(client()))
-        assert isinstance(exc, RetryExhausted)
-        assert exc.attempts == policy.max_attempts
-        # The exception carries the exact deterministic schedule the
-        # stack waited: max_attempts - 1 jittered exponential delays.
-        expected = tuple(policy.delays("node00->node01:80"))
-        assert exc.backoff == expected
-        assert len(exc.backoff) == policy.max_attempts - 1
-        for i, delay in enumerate(exc.backoff):
-            base = policy.base_delay * policy.multiplier ** i
-            assert base <= delay <= base * (1.0 + policy.jitter)
-        # Wall clock accounts for every timeout plus every backoff
-        # (plus a few microseconds of per-attempt send CPU charge).
-        floor = policy.max_attempts * policy.attempt_timeout + sum(expected)
-        assert floor <= sim.now <= floor * 1.01
-
-    def test_connect_timeout_without_retry_policy(self):
-        cluster = _faulty_cluster(self._blackhole())
-        api = ProtocolAPI(cluster, "tcp", connect_timeout=0.002)
-        sim = cluster.sim
-        api.listen("node01", 80)
-
-        def client():
-            sock = api.socket("node00")
-            try:
-                yield from sock.connect(("node01", 80))
-            except ConnectTimeout:
-                return "timed out"
-
-        assert sim.run(sim.process(client())) == "timed out"
+    """Connection establishment against injected link faults.  The
+    fabric never loses a frame, so a connect is one request and one
+    wait: a flap only delays it."""
 
     def test_handshake_survives_flap_and_stays_idempotent(self):
-        """A flap window buffers attempt 1's request; the retry lands in
-        the same window, so the server sees *two* requests back-to-back
-        at replay — it must accept once and re-reply, not accept twice."""
+        """A flap window buffers the request; the connect waits the
+        window out, and the one request accepts exactly one socket."""
+        window_end = 0.004
         plan = FaultPlan(
-            name="flap-node01", seed=5,
-            links={"clan.node01.down": LinkFault(flap_windows=((0.0, 0.004),))})
+            name="flap-node01",
+            links={"clan.node01.down": LinkFault(
+                flap_windows=((0.0, window_end),))})
         cluster = _faulty_cluster(plan)
-        policy = RetryPolicy(max_attempts=5, attempt_timeout=0.002,
-                             base_delay=0.001, jitter=0.0)
-        api = ProtocolAPI(cluster, "tcp", retry=policy)
+        api = ProtocolAPI(cluster, "tcp")
         sim = cluster.sim
 
         def server():
@@ -291,14 +230,16 @@ class TestConnectRetry:
         def client():
             sock = api.socket("node00")
             yield from sock.connect(("node01", 80))
+            connected_at = sim.now
             yield from sock.send_message(1024)
+            return connected_at
 
         srv = sim.process(server())
-        sim.process(client())
+        cli = sim.process(client())
         assert sim.run(srv) == 1024
-        # Both buffered requests were delivered, but the duplicate only
-        # repeated the reply: exactly one server-side endpoint exists.
-        assert len(api.stack("node01")._accepted) == 1
+        assert cli.value >= window_end
+        # The one request built exactly one server-side endpoint.
+        assert len(api.stack("node01")._endpoints) == 1
 
 
 def _two_hosts():
@@ -308,87 +249,34 @@ def _two_hosts():
     return c
 
 
-class TestBoundedWaitsCancelTheirTimer:
-    """A bounded wait that is satisfied in time withdraws its timer, so
-    the dead deadline neither fires nor stretches ``sim.run()``."""
+class _DropOneDataFrame:
+    """Test-local stand-in for a link's fault state: it sits in the
+    receive link's ``faults`` slot, drops the first frame larger than a
+    control frame, and delivers every other frame unchanged."""
 
-    @pytest.mark.parametrize("protocol", ["tcp", "socketvia"])
-    def test_satisfied_bounded_receive_leaves_no_timer(self, protocol):
-        cluster = _two_hosts()
-        sim = cluster.sim
-        api = ProtocolAPI(cluster, protocol)
+    def __init__(self, link):
+        self.link = link
+        self.dropped = 0
 
-        def server():
-            listener = api.listen("node01", 80)
-            sock = yield from listener.accept()
-            msg = yield from sock.recv_message(timeout=10.0)
-            return msg.size
-
-        def client():
-            sock = api.socket("node00")
-            yield from sock.connect(("node01", 80))
-            yield from sock.send_message(64)
-
-        srv = sim.process(server())
-        sim.process(client())
-        sim.run()
-        assert srv.value == 64
-        assert sim.peek() == float("inf")
-        assert sim.now < 1e-3
-
-    def test_tcp_connect_within_timeout_leaves_no_timer(self):
-        cluster = _two_hosts()
-        sim = cluster.sim
-        api = ProtocolAPI(cluster, "tcp", connect_timeout=1.0)
-        api.listen("node01", 80)
-
-        def client():
-            sock = api.socket("node00")
-            yield from sock.connect(("node01", 80))
-            return sock.connected
-
-        cli = sim.process(client())
-        sim.run()
-        assert cli.value is True
-        assert sim.peek() == float("inf")
-        assert sim.now < 1e-3
-
-
-class TestConnectOptionsAreTcpOnly:
-    """Only TCP connects through the retrying handshake, so only TCP
-    accepts ``retry=`` and ``connect_timeout=``; the other stacks
-    reject them when they are built instead of ignoring them."""
-
-    @pytest.mark.parametrize("protocol, option", [
-        ("socketvia", {"connect_timeout": 1e-9}),
-        ("socketvia", {"retry": RetryPolicy()}),
-        ("udp", {"retry": RetryPolicy()}),
-        ("udp", {"connect_timeout": 1e-9}),
-    ])
-    def test_non_tcp_stack_rejects_connect_options(self, protocol, option):
-        api = ProtocolAPI(_two_hosts(), protocol, **option)
-        (name,) = option
-        with pytest.raises(TypeError, match=name):
-            api.socket("node00")
+    def deliver(self, tx):
+        if not self.dropped and tx.size > 1024:
+            self.dropped += 1
+            return
+        self.link._deliver(tx)
 
 
 class TestStreamDataFaultsAreProtocolErrors:
-    """No data retransmission is modeled, so a lost or reordered data
-    unit on a stream link breaks reassembly.  Both transports must say
-    so with a typed error naming the message, also under ``python -O``
-    (a bare ``assert`` would vanish there and TCP would deliver short
-    messages as whole ones)."""
+    """No data retransmission is modeled, so a data unit missing from a
+    stream breaks reassembly.  The fabric never drops one; if it did,
+    both transports must say so with a typed error naming the message,
+    also under ``python -O`` (a bare ``assert`` would vanish there and
+    TCP would deliver short messages as whole ones)."""
 
-    @pytest.mark.parametrize("fault", [
-        LinkFault(loss_rate=0.05),
-        LinkFault(reorder_rate=0.2),
-    ], ids=["loss", "reorder"])
     @pytest.mark.parametrize("protocol", ["tcp", "socketvia"])
-    def test_broken_reassembly_raises_protocol_error(self, protocol, fault):
-        plan = FaultPlan(name="lossy-data", seed=7,
-                         links={"clan.node01.down": fault})
-        with injecting(plan):
-            cluster = _two_hosts()
+    def test_broken_reassembly_raises_protocol_error(self, protocol):
+        cluster = _two_hosts()
+        link = cluster.fabric("clan").port("node01").downlink
+        link.faults = dropper = _DropOneDataFrame(link)
         api = ProtocolAPI(cluster, protocol)
         sim = cluster.sim
 
@@ -409,6 +297,7 @@ class TestStreamDataFaultsAreProtocolErrors:
                            match=r"node01.*message \d+: got \d+, "
                                  r"expected 100000"):
             sim.run(srv)
+        assert dropper.dropped == 1
 
     def test_library_checks_survive_python_O(self):
         """``python -O`` strips ``assert`` statements, so the library
@@ -431,7 +320,7 @@ class TestHostCrashRescheduling:
                                 total_bytes=2 * 1024 * 1024)
         base = run_loadbalance(cfg)
         plan = FaultPlan(
-            name="crash-worker01", seed=11,
+            name="crash-worker01",
             hosts={"worker01": HostFault(crash_at=0.010, restart_at=0.030)})
         with injecting(plan):
             chaos = run_loadbalance(cfg)

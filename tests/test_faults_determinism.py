@@ -3,8 +3,9 @@
 Two properties keep ``repro.faults`` compatible with the content-
 addressed bench cache and the parallel point executor:
 
-1. Injection is seeded simulation state, not wall-clock randomness:
-   the same :class:`FaultPlan` gives bit-identical results run twice,
+1. Injection is simulation state, not wall-clock randomness: every
+   fault is a window of simulated time, so the same
+   :class:`FaultPlan` gives bit-identical results run twice,
    and identical results whether points execute serially or in a
    process pool — the ambient plan travels to the workers inside the
    shipped :class:`~repro.bench.cache.RunContext` and is reinstalled
@@ -37,7 +38,7 @@ FIG11_KW = {"probabilities": [0.5], "factors": [2], "total_bytes": 1 << 20}
 
 class TestSeededInjection:
     def test_ambient_plan_parallel_matches_serial(self):
-        """Same plan + seed: the jobs=2 pool, which reinstalls the
+        """Same plan: the jobs=2 pool, which reinstalls the
         shipped ambient plan per worker, equals the in-process run."""
         plan = get_preset("chaos-fig11")
         with injecting(plan):
@@ -101,22 +102,21 @@ class TestEmptyPlanIsNoop:
 
 class TestFingerprintSemantics:
     def test_fingerprint_tracks_content_not_name(self):
-        a = FaultPlan(name="a", seed=1,
+        a = FaultPlan(name="a",
                       hosts={"h": HostFault(crash_at=0.01, restart_at=0.03)})
-        renamed = FaultPlan(name="b", seed=1,
+        renamed = FaultPlan(name="b",
                             hosts={"h": HostFault(crash_at=0.01,
                                                   restart_at=0.03)})
-        reseeded = FaultPlan(name="a", seed=2,
-                             hosts={"h": HostFault(crash_at=0.01,
-                                                   restart_at=0.03)})
+        moved = FaultPlan(name="a",
+                          hosts={"h": HostFault(crash_at=0.02,
+                                                restart_at=0.03)})
         assert a.fingerprint() == renamed.fingerprint()
-        assert a.fingerprint() != reseeded.fingerprint()
+        assert a.fingerprint() != moved.fingerprint()
 
     def test_fingerprint_survives_dict_roundtrip(self):
         plan = FaultPlan(
-            name="roundtrip", seed=3,
-            links={"clan.h.down": LinkFault(loss_rate=0.1,
-                                            flap_windows=((0.0, 0.004),))},
+            name="roundtrip",
+            links={"clan.h.down": LinkFault(flap_windows=((0.0, 0.004),))},
             hosts={"h": HostFault(slowdown_windows=((0.0, 1.0, 2.0),))})
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone.fingerprint() == plan.fingerprint()

@@ -2,6 +2,7 @@
 reservation cancellation, the ReplicaSet first-finisher contract, and
 the end-to-end tails scenario."""
 
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from repro.datacutter.scheduling import (
     ReplicationPolicy,
     make_scheduler,
 )
-from repro.errors import DataCutterError
+from repro.errors import DataCutterError, ExperimentError
 from repro.sim import Simulator
 
 
@@ -393,17 +394,24 @@ class TestRunTails:
     def test_unreplicated_conserves_trivially(self):
         r = run_tails(TailsConfig(k=1, **self.QUICK))
         assert r.dispatched == r.completed == 40
-        assert r.retracted == 0 and r.conservation_ok
+        assert r.retracted == 0 and r.completed == r.dispatched
         assert r.hedges_sent == 0
         assert len(r.latencies) == 40
         assert sum(r.won_counts) == 40
+
+    def test_broken_ledger_refuses_to_build(self):
+        """A result checks ``completed == dispatched - retracted`` when
+        it is built, as ``ServeResult`` does for its admission ledger."""
+        r = run_tails(TailsConfig(k=1, **self.QUICK))
+        with pytest.raises(ExperimentError, match="conservation violated"):
+            dataclasses.replace(r, completed=r.completed - 1)
 
     def test_racing_replicas_conserve_exactly(self):
         r = run_tails(TailsConfig(k=2, hedge_us=0.0, **self.QUICK))
         assert r.dispatched == 80
         assert r.completed == 40
         assert r.retracted == 40
-        assert r.conservation_ok
+        assert r.completed == r.dispatched - r.retracted
         assert (r.retracted_before_start + r.retracted_started
                 == r.retracted)
 
@@ -420,7 +428,8 @@ class TestRunTails:
         base = dict(k=2, hedge_us=0.0, **self.QUICK)
         lazy = run_tails(TailsConfig(cancel="lazy", **base))
         none = run_tails(TailsConfig(cancel="none", **base))
-        assert none.conservation_ok and lazy.conservation_ok
+        for r in (none, lazy):
+            assert r.completed == r.dispatched - r.retracted
         # Without cancellation every loser runs to completion.
         assert none.work_executed > lazy.work_executed
 
@@ -429,7 +438,7 @@ class TestRunTails:
                                   n_queries=10, rate=2500.0, seed=5))
         assert r.replication_clamped == 10
         assert r.dispatched == 20  # 2 distinct copies per query
-        assert r.conservation_ok
+        assert r.completed == r.dispatched - r.retracted
 
     def test_default_policy_without_ambient(self):
         p = TailsConfig(**self.QUICK).resolved_policy()

@@ -23,7 +23,9 @@ OPS = st.one_of(
     st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 9)),
     st.tuples(st.just("put_nowait"), st.integers(0, 9)),
     st.tuples(st.just("get"), st.integers(0, 1)),
-    st.tuples(st.just("get_or_timeout"), st.integers(0, 1), DELAYS),
+    # Race a one-shot gate against a timer through any_of (the shape
+    # of the lazy-cancellation race in apps/tails.py).
+    st.tuples(st.just("gate_or_timeout"), st.integers(0, 1), DELAYS),
     st.tuples(st.just("cget"), st.integers(1, 2)),
     st.tuples(st.just("cput"), st.integers(1, 2)),
     st.tuples(st.just("spawn"), st.integers(0, 3)),
@@ -68,16 +70,15 @@ def build(program):
                 stores[1].put_nowait(op[1])
             elif kind == "get":
                 value = yield stores[op[1]].get()
-            elif kind == "get_or_timeout":
-                store = stores[op[1]]
-                get_ev = store.get()
+            elif kind == "gate_or_timeout":
+                gate = gates[op[1]]
                 timer = sim.timeout(op[2])
-                yield sim.any_of([get_ev, timer])
-                if get_ev.triggered:
-                    value = get_ev.value
-                else:
-                    store.cancel_get(get_ev)
+                yield sim.any_of([timer, gate])
+                if timer.processed:
                     value = "timed out"
+                else:
+                    timer.cancel()
+                    value = gate.value
             elif kind == "cget":
                 yield credits.get(op[1])
             elif kind == "cput":
@@ -125,7 +126,7 @@ class TestHandOffIsExact:
     def test_pinned_program_hands_off_and_matches(self):
         program = [
             [("use", 0, 1), ("put", 0, 5), ("get", 1), ("cget", 1),
-             ("hold", 1, 0), ("spawn", 1), ("get_or_timeout", 0, 2)],
+             ("hold", 1, 0), ("spawn", 1), ("gate_or_timeout", 0, 2)],
             [("put_nowait", 7), ("timeout", 1), ("use", 0, 0), ("get", 0),
              ("cput", 2), ("cget", 2)],
         ]

@@ -40,7 +40,7 @@ CONFIG = ServeConfig(protocol="socketvia", hosts=16, rate_per_shard=300.0,
 #: repository receive side, shard 5's frontend send side and shard 4's
 #: frontend receive side (the one TCP's data crosses).  Flaps buffer
 #: and release, so the run still completes with every query.
-FLAPS = FaultPlan(name="partition-flaps", seed=3, links={
+FLAPS = FaultPlan(name="partition-flaps", links={
     "clan.host0006.down": LinkFault(flap_windows=((0.003, 0.006),)),
     "clan.host0011.up": LinkFault(flap_windows=((0.001, 0.009),)),
     "clan.host0009.down": LinkFault(flap_windows=((0.004, 0.007),)),

@@ -136,15 +136,6 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(sim).peek()
 
-    def test_cancel_get(self, sim):
-        store = Store(sim)
-        g = store.get()
-        store.cancel_get(g)
-        store.put("x")
-        assert not g.triggered
-        assert store.size == 1
-        sim.run()
-
     def test_multiple_blocked_getters_fifo(self, sim):
         store = Store(sim)
         results = []
